@@ -42,7 +42,7 @@ def pick_seed_nodes(n: int, k: int, *, seed: int = 7) -> np.ndarray:
 def run_timed(engine, seeds, trial_seeds) -> tuple[float, float]:
     """(seconds, mean_spread) for running all trials on one engine.
 
-    The CSR engine runs its cross-trial batched kernel (its normal
+    The CSR engine runs all trials in one compiled kernel call (its normal
     operating mode for Monte-Carlo workloads); the interpreted baselines
     loop trial-by-trial, which is all they can do — the same asymmetry
     the paper's CyNetDiff-vs-Python comparison measures.

@@ -4,8 +4,9 @@ Four engine families share one deterministic counter-based coin stream
 (:mod:`repro.diffusion.rng`), so for a given ``(graph, weights, seeds,
 trial_seed)`` they produce *identical* activated sets:
 
-* :mod:`repro.diffusion.csr_engine` — vectorized NumPy frontier BFS over
-  CSR; the analog of CyNetDiff's Cython kernel.
+* :mod:`repro.diffusion.csr_engine` — compiled C frontier BFS over CSR
+  (loaded with ctypes, NumPy fallback); the analog of CyNetDiff's Cython
+  kernel.
 * :mod:`repro.diffusion.pure_python` — frontier BFS in interpreted Python
   (the paper's hand-written baseline).
 * :mod:`repro.diffusion.ndlib_like` — NDlib-style full node scan per time

@@ -52,6 +52,22 @@ def validate_seeds(n: int, seeds) -> np.ndarray:
     return s
 
 
+def validate_weights(m: int, weights) -> np.ndarray:
+    """Edge weights as a contiguous float64 ``(m,)`` array of probabilities.
+
+    NaN, negative or >1 weights raise ``ValueError``: compiled comparisons
+    against NaN are always false, so they would silently never fire.
+    """
+    w = np.ascontiguousarray(weights, np.float64)
+    if w.shape != (m,):
+        raise ValueError(f"weights must be ({m},), got {w.shape}")
+    bad = ~((w >= 0.0) & (w <= 1.0))
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise ValueError(f"edge weights must lie in [0, 1]; edge {e} has weight {w[e]}")
+    return w
+
+
 def validate_model(model: str) -> str:
     """Check the model name is 'ic' or 'lt'."""
     if model not in MODEL_NAMES:

@@ -12,7 +12,8 @@ The hash is splitmix64 (Steele et al.), applied twice: once to fold
 ``(stream, trial_seed)`` into a base key, once over ``base + id``. Uniforms
 are the standard 53-bit mantissa construction ``(x >> 11) * 2**-53`` in
 ``[0, 1)``. The NumPy and pure-Python implementations are bit-identical
-(property-tested in ``tests/test_rng.py``).
+(property-tested in ``tests/test_rng.py``); the compiled kernel
+(``_kernel.c``) repeats the same hash in C.
 """
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ def uniforms(stream: int, trial_seed: int, ids: np.ndarray) -> np.ndarray:
 
 
 def trial_bases(stream: int, trial_seeds) -> np.ndarray:
-    """Per-trial base keys as a uint64 array (for cross-trial batching)."""
+    """Per-trial base keys as a uint64 array (for the fallback kernel's batching)."""
     return np.asarray(
         [base_key(stream, int(t)) for t in trial_seeds], dtype=np.uint64
     )
@@ -72,8 +73,8 @@ def uniforms_mixed(bases: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Uniforms for (trial, id) pairs given per-pair base keys.
 
     ``uniforms_mixed(trial_bases(s, ts)[k], ids)`` is bit-identical to
-    ``uniforms(s, ts[k], ids)`` — the cross-trial batched kernel flips
-    exactly the coins the per-trial kernels flip.
+    ``uniforms(s, ts[k], ids)`` — the batched fallback kernel flips exactly
+    the coins the per-trial kernels flip.
     """
     with np.errstate(over="ignore"):
         h = _splitmix64_np(

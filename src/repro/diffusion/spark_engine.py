@@ -6,7 +6,7 @@ Two complementary designs:
   the paper's stated future-work direction ("improve the performance of
   CyNetDiff by adding parallelism"). Monte-Carlo trials are independent,
   so a DataFrame of trial seeds is partitioned across executors and each
-  partition runs the vectorized CSR kernel locally via Arrow-backed
+  partition runs the compiled CSR kernel locally via Arrow-backed
   ``mapInPandas``. The CSR arrays are shipped once per executor with
   ``SparkContext.broadcast`` (deliberate and documented: the graph is the
   shared read-only operand; the session fixture's disabled
@@ -113,7 +113,7 @@ def run_trials_df(
             if want_summary:
                 # Per-trial results are still needed for num_iterations,
                 # so the per-trial kernel runs here; counts cross-check
-                # the batched kernel in tests.
+                # run_many in tests.
                 rows = [(t, engine.run(p["seeds"], int(t))) for t in trials]
                 yield pd.DataFrame(
                     {

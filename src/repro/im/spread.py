@@ -40,7 +40,7 @@ def estimate_spread(engine, seeds, trial_seeds) -> float:
     """Mean activated count over ``trial_seeds`` using a local engine.
 
     Engines exposing a batched ``run_many`` (the CSR kernel) evaluate all
-    trials in one cross-trial vectorized BFS; the interpreted baselines
+    trials in one compiled kernel call; the interpreted baselines
     loop — that difference is precisely what Table 2 measures.
     """
     if hasattr(engine, "spread"):  # SparkTrialEngine

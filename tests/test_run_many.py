@@ -1,4 +1,4 @@
-"""Tests for the cross-trial batched CSR kernel (run_many) and its RNG."""
+"""Tests for the CSR engine's multi-trial kernel (run_many) and the batched RNG."""
 import numpy as np
 import pytest
 
@@ -46,7 +46,7 @@ class TestUniformsMixed:
 @pytest.mark.parametrize("gname", list(GRAPHS))
 @pytest.mark.parametrize("ewm", EWM_NAMES)
 def test_run_many_equals_sequential_ic(gname, ewm):
-    """Batched kernel counts == per-trial kernel counts, bit-for-bit."""
+    """Multi-trial kernel counts == per-trial kernel counts, bit-for-bit."""
     csr = GRAPHS[gname]
     w = edge_weights(csr, ewm, seed=4)
     e = make_engine("csr", csr, w)
@@ -58,7 +58,7 @@ def test_run_many_equals_sequential_ic(gname, ewm):
 
 @pytest.mark.parametrize("ewm", EWM_NAMES)
 def test_run_many_single_seed(ewm):
-    """The CELF regime: single-seed spreads, small batched frontiers."""
+    """The CELF regime: single-seed spreads, small frontiers."""
     csr = GRAPHS["rr"]
     w = edge_weights(csr, ewm, seed=4)
     e = make_engine("csr", csr, w)
@@ -69,21 +69,11 @@ def test_run_many_single_seed(ewm):
 
 
 def test_run_many_flooding_regime():
-    """Weight-1 graph floods: pilot heuristic takes the per-trial branch."""
+    """Weight-1 graph floods every trial."""
     csr = line(40)
     e = make_engine("csr", csr, np.ones(csr.m))
     block = trial_seed_block(7, 10)
     assert (e.run_many([0], block) == 40).all()
-
-
-def test_run_many_batched_regime_small_batches():
-    csr = GRAPHS["er"]
-    w = edge_weights(csr, "TV", seed=4)
-    e = make_engine("csr", csr, w)
-    block = trial_seed_block(8, 30)
-    a = e.run_many([2], block, batch_size=4)
-    b = e.run_many([2], block, batch_size=64)
-    assert np.array_equal(a, b)
 
 
 def test_run_many_lt_fallback():
