@@ -25,11 +25,6 @@ TRIALS = default_trials()
 ENGINES = ("csr", "pure_python", "ndlib_like")
 
 
-def _run_cell(engine, seeds, block):
-    secs, spread = run_timed(engine, seeds, block)
-    return secs, spread
-
-
 @pytest.mark.parametrize("ewm", EWM_NAMES)
 @pytest.mark.parametrize("gname", list(GRAPHS))
 @pytest.mark.parametrize("kind", ENGINES)
@@ -41,7 +36,7 @@ def test_table1_cell(benchmark, gname, ewm, kind):
     block = trial_seed_block(0, TRIALS)
     benchmark.extra_info.update(graph=gname, ewm=ewm, engine=kind, trials=TRIALS)
     benchmark.pedantic(
-        _run_cell, args=(engine, seeds, block), rounds=1, iterations=1
+        run_timed, args=(engine, seeds, block), rounds=1, iterations=1
     )
 
 
@@ -54,5 +49,5 @@ def test_table1_spark_column(benchmark, spark, ewm):
     block = trial_seed_block(0, TRIALS)
     benchmark.extra_info.update(graph="Erdős-Rényi", ewm=ewm, engine="spark", trials=TRIALS)
     benchmark.pedantic(
-        _run_cell, args=(engine, seeds, block), rounds=1, iterations=1
+        run_timed, args=(engine, seeds, block), rounds=1, iterations=1
     )

@@ -31,7 +31,7 @@ def test_table2_cell(benchmark, ewm, backend):
 
     def run():
         row = run_celf_timed(
-            GRAPH, WEIGHTS[ewm], backend, k=PARAMS["k"], mc=PARAMS["mc"]
+            GRAPH, WEIGHTS[ewm], backend, ewm=ewm, k=PARAMS["k"], mc=PARAMS["mc"]
         )
         benchmark.extra_info.update(seeds=row.seeds, n_evals=row.n_evals)
         return row
@@ -48,7 +48,8 @@ def test_table2_spark_backend(benchmark, spark, ewm):
 
     def run():
         return run_celf_timed(
-            GRAPH, WEIGHTS[ewm], "spark", k=PARAMS["k"], mc=PARAMS["mc"], spark=spark
+            GRAPH, WEIGHTS[ewm], "spark", ewm=ewm, k=PARAMS["k"], mc=PARAMS["mc"],
+            spark=spark,
         )
 
     benchmark.pedantic(run, rounds=1, iterations=1)

@@ -10,17 +10,14 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import sys
 
-sys.path.insert(0, "jobs")
-from _session import get_session  # noqa: E402
-
-from repro.analysis import activation_counts_df  # noqa: E402
-from repro.bench.harness import pick_seed_nodes  # noqa: E402
-from repro.bench.table1 import table1_graphs  # noqa: E402
-from repro.diffusion.spark_engine import run_trials_df  # noqa: E402
-from repro.graphs.weights import edge_weights  # noqa: E402
-from repro.im.spread import trial_seed_block  # noqa: E402
+from repro.analysis import activation_counts_df
+from repro.bench.harness import pick_seed_nodes
+from repro.bench.table1 import table1_graphs
+from repro.diffusion.spark_engine import run_trials_df
+from repro.graphs.weights import edge_weights
+from repro.im.spread import trial_seed_block
+from repro.session import get_session
 
 _GRAPH_KEYS = {"er": "Erdős-Rényi", "ws": "Watts-Strogatz", "facebook": "Facebook"}
 

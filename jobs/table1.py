@@ -10,12 +10,9 @@ the markdown table with the paper's ratios alongside ours.
 from __future__ import annotations
 
 import argparse
-import sys
 
-sys.path.insert(0, "jobs")
-from _session import get_session  # noqa: E402
-
-from repro.bench.table1 import PAPER_TRIALS, format_table1, run_table1  # noqa: E402
+from repro.bench.table1 import PAPER_TRIALS, format_table1, run_table1
+from repro.session import get_session
 
 
 def main() -> None:

@@ -13,12 +13,8 @@ the extrapolated NDlib-backed CELF time reproducing the paper's
 from __future__ import annotations
 
 import argparse
-import sys
 
-sys.path.insert(0, "jobs")
-from _session import get_session  # noqa: E402
-
-from repro.bench.table2 import (  # noqa: E402
+from repro.bench.table2 import (
     PAPER_N,
     PAPER_NDLIB_TIMEOUT_S,
     estimate_ndlib_celf_seconds,
@@ -26,7 +22,8 @@ from repro.bench.table2 import (  # noqa: E402
     run_table2,
     table2_graph,
 )
-from repro.graphs.weights import edge_weights  # noqa: E402
+from repro.graphs.weights import edge_weights
+from repro.session import get_session
 
 
 def main() -> None:

@@ -75,6 +75,7 @@ def run_celf_timed(
     weights: np.ndarray,
     backend: str,
     *,
+    ewm: str,
     k: int,
     mc: int,
     base_seed: int = 0,
@@ -82,6 +83,9 @@ def run_celf_timed(
     model: str = "ic",
 ) -> Table2Row:
     """Time one CELF run end-to-end (sigma setup outside, selection inside).
+
+    ``ewm`` names the edge-weight model of ``weights``; it labels the row
+    and picks the paper's reference time.
 
     Backends: ``csr`` / ``pure_python`` / ``ndlib_like`` run everything
     locally; ``spark`` fans the first pass (one sigma per candidate — the
@@ -111,13 +115,13 @@ def run_celf_timed(
         secs = time.perf_counter() - t0
         n_evals = res.n_evals
     return Table2Row(
-        ewm="?",
+        ewm=ewm,
         backend=backend,
         seconds=secs,
         seeds=res.seeds,
         sigma_value=res.sigma_values[-1],
         n_evals=n_evals,
-        paper_seconds=None,
+        paper_seconds=PAPER_TABLE2.get((ewm, backend)),
     )
 
 
@@ -168,18 +172,7 @@ def run_table2(
     for ewm in TABLE2_EWMS:
         w = edge_weights(csr, ewm, seed=weight_seed)
         for backend in backends:
-            row = run_celf_timed(csr, w, backend, k=k, mc=mc, spark=spark)
-            rows.append(
-                Table2Row(
-                    ewm=ewm,
-                    backend=backend,
-                    seconds=row.seconds,
-                    seeds=row.seeds,
-                    sigma_value=row.sigma_value,
-                    n_evals=row.n_evals,
-                    paper_seconds=PAPER_TABLE2.get((ewm, backend)),
-                )
-            )
+            rows.append(run_celf_timed(csr, w, backend, ewm=ewm, k=k, mc=mc, spark=spark))
     return rows
 
 

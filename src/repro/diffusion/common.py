@@ -1,4 +1,4 @@
-"""Shared engine types: result record, seed validation, model names."""
+"""Shared engine types: result record, input validation, the engine base class."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -73,3 +73,33 @@ def validate_model(model: str) -> str:
     if model not in MODEL_NAMES:
         raise ValueError(f"model must be one of {MODEL_NAMES}, got {model!r}")
     return model
+
+
+class Engine:
+    """The engine contract: ``run``, ``run_many`` and ``spread``.
+
+    The constructor validates and stores the graph, weights and model.
+    Subclasses implement ``run(seeds, trial_seed)``; the default
+    ``run_many`` loops it over the trial seeds, and ``spread`` is the mean
+    of ``run_many``, so a compiled engine only overrides ``run_many``.
+    """
+
+    def __init__(self, csr, weights, *, model: str = "ic") -> None:
+        self.csr = csr
+        self.weights = validate_weights(csr.m, weights)
+        self.model = validate_model(model)
+
+    def run(self, seeds, trial_seed: int) -> DiffusionResult:
+        """Run one trial; deterministic in ``trial_seed``."""
+        raise NotImplementedError
+
+    def run_many(self, seeds, trial_seeds) -> np.ndarray:
+        """Activated-node counts, one per trial seed."""
+        return np.array(
+            [self.run(seeds, int(t)).num_active for t in np.asarray(trial_seeds).tolist()],
+            np.int64,
+        )
+
+    def spread(self, seeds, trial_seeds) -> float:
+        """Mean activated-node count over ``trial_seeds``."""
+        return float(self.run_many(seeds, trial_seeds).mean())

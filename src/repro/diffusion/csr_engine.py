@@ -31,12 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.diffusion.common import (
-    DiffusionResult,
-    validate_model,
-    validate_seeds,
-    validate_weights,
-)
+from repro.diffusion.common import DiffusionResult, Engine, validate_seeds
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
     STREAM_LT_THRESHOLD,
@@ -135,7 +130,7 @@ def _gather_out_edges(csr: CSRGraph, frontier: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + np.repeat(starts, counts)
 
 
-class CSREngine:
+class CSREngine(Engine):
     """IC/LT simulator over CSR with a compiled frontier kernel.
 
     Construction (graph + weights capture and validation) is the analog of
@@ -143,12 +138,8 @@ class CSREngine:
     timings, as in the paper's benchmarks.
     """
 
-    kind = "csr"
-
     def __init__(self, csr: CSRGraph, weights: np.ndarray, *, model: str = "ic") -> None:
-        self.csr = csr
-        self.weights = validate_weights(csr.m, weights)
-        self.model = validate_model(model)
+        super().__init__(csr, weights, model=model)
         # The compiled kernel indexes memory with these arrays unchecked.
         ptr = self._indptr = np.ascontiguousarray(csr.indptr, np.int64)
         dst = self._indices = np.ascontiguousarray(csr.indices, np.int64)

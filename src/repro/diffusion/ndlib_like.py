@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.diffusion.common import DiffusionResult, validate_model, validate_seeds
+from repro.diffusion.common import DiffusionResult, Engine, validate_seeds
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
     STREAM_LT_THRESHOLD,
@@ -40,20 +40,16 @@ from repro.graphs.csr import CSRGraph
 _SUSCEPTIBLE, _ACTIVE, _REMOVED = 0, 1, 2
 
 
-class NDlibLikeEngine:
+class NDlibLikeEngine(Engine):
     """IC/LT simulator with NDlib's full-scan/full-copy iteration shape."""
 
-    kind = "ndlib_like"
-
     def __init__(self, csr: CSRGraph, weights: np.ndarray, *, model: str = "ic") -> None:
-        if weights.shape != (csr.m,):
-            raise ValueError(f"weights must be ({csr.m},), got {weights.shape}")
+        super().__init__(csr, weights, model=model)
         self.n = csr.n
-        self.model = validate_model(model)
         # dict-of-dicts adjacency, as networkx stores graphs: outer dict
         # node -> {neighbor: eid}. Edge weights live in the per-run params
         # dict (see _apply_configuration), as NDlib keeps them.
-        wl = weights.tolist()
+        wl = self.weights.tolist()
         dsts = csr.indices.tolist()
         ptr = csr.indptr.tolist()
         self.adj: dict[int, dict[int, int]] = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.diffusion.common import DiffusionResult, validate_model, validate_seeds
+from repro.diffusion.common import DiffusionResult, Engine, validate_seeds
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
     STREAM_LT_THRESHOLD,
@@ -20,20 +20,16 @@ from repro.diffusion.rng import (
 from repro.graphs.csr import CSRGraph
 
 
-class PurePythonEngine:
+class PurePythonEngine(Engine):
     """IC/LT simulator with interpreted frontier BFS over Python lists."""
 
-    kind = "pure_python"
-
     def __init__(self, csr: CSRGraph, weights: np.ndarray, *, model: str = "ic") -> None:
-        if weights.shape != (csr.m,):
-            raise ValueError(f"weights must be ({csr.m},), got {weights.shape}")
+        super().__init__(csr, weights, model=model)
         self.n = csr.n
-        self.model = validate_model(model)
         # Adjacency as plain Python lists of (dst, eid, weight) built from
         # the CSR so edge ids (hence coins and weights) match every other
         # engine. Built once at model creation, outside per-trial timing.
-        wl = weights.tolist()
+        wl = self.weights.tolist()
         dsts = csr.indices.tolist()
         ptr = csr.indptr.tolist()
         self.adj: list[list[tuple[int, int, float]]] = [

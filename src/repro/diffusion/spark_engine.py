@@ -7,10 +7,14 @@ Two complementary designs:
   CyNetDiff by adding parallelism"). Monte-Carlo trials are independent,
   so a DataFrame of trial seeds is partitioned across executors and each
   partition runs the compiled CSR kernel locally via Arrow-backed
-  ``mapInPandas``. The CSR arrays are shipped once per executor with
-  ``SparkContext.broadcast`` (deliberate and documented: the graph is the
-  shared read-only operand; the session fixture's disabled
-  *auto*-broadcast join threshold concerns relational joins, not this).
+  ``mapInPandas``. One private helper, ``_FanOut``, does the plumbing for
+  this module and for ``repro.im.spread.marginal_gains_spark``: it
+  validates the weights and model on the driver, ships the CSR arrays
+  with one ``SparkContext.broadcast`` (one per :class:`SparkTrialEngine`,
+  reused by all its calls, or one per lazy DataFrame), and builds one
+  :class:`CSREngine` per partition. The broadcast is deliberate: the graph
+  is the shared read-only operand; the session's disabled
+  *auto*-broadcast join threshold concerns relational joins, not this.
   Because coins are counter-based (``repro.diffusion.rng``), the result
   of trial ``t`` is bit-identical to a local engine run with
   ``trial_seed=t`` regardless of partitioning.
@@ -26,7 +30,7 @@ Two complementary designs:
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -34,7 +38,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import IntegerType, LongType, StructField, StructType
 
-from repro.diffusion.common import validate_model, validate_seeds
+from repro.diffusion.common import validate_model, validate_seeds, validate_weights
 from repro.diffusion.csr_engine import CSREngine
 from repro.diffusion.rng import STREAM_IC_COIN, STREAM_LT_PICK, uniforms
 from repro.graphs.csr import CSRGraph
@@ -56,13 +60,79 @@ ACTIVATION_SCHEMA = StructType(
 )
 
 
-def _trial_seeds_df(spark: SparkSession, trial_seeds) -> DataFrame:
-    """Trial seeds as a one-column DataFrame spread over the default parallelism."""
-    seeds = [int(t) for t in trial_seeds]
-    num_part = max(1, min(len(seeds), spark.sparkContext.defaultParallelism))
-    return spark.createDataFrame(
-        pd.DataFrame({"trial": pd.Series(seeds, dtype="int64")})
-    ).repartition(num_part)
+class _FanOut:
+    """A CSR graph validated and broadcast once, fanned out over partitions.
+
+    The constructor checks the weights and model on the driver, so bad
+    input raises ``ValueError`` before any job runs, then ships the graph
+    with one ``SparkContext.broadcast``. :meth:`map` spreads int64 keys
+    over ``min(len(keys), defaultParallelism)`` partitions; each partition
+    builds one :class:`CSREngine` from the broadcast and passes it, with
+    each batch's keys, to ``body``, which yields pandas frames of
+    ``schema``.
+    """
+
+    def __init__(self, spark: SparkSession, csr: CSRGraph, weights, model: str) -> None:
+        self.spark = spark
+        self.graph = spark.sparkContext.broadcast(
+            (csr.n, csr.indptr, csr.indices, validate_weights(csr.m, weights),
+             validate_model(model))
+        )
+
+    def map(
+        self,
+        keys,
+        body: Callable[[CSREngine, list[int]], Iterator[pd.DataFrame]],
+        schema: StructType,
+    ) -> DataFrame:
+        graph = self.graph
+
+        def run_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+            n, indptr, indices, weights, model = graph.value
+            engine = CSREngine(CSRGraph(n=n, indptr=indptr, indices=indices), weights, model=model)
+            for batch in batches:
+                yield from body(engine, batch["key"].tolist())
+
+        keys = pd.DataFrame({"key": pd.Series([int(k) for k in keys], dtype="int64")})
+        num_part = max(1, min(len(keys), self.spark.sparkContext.defaultParallelism))
+        return (
+            self.spark.createDataFrame(keys)
+            .repartition(num_part)
+            .mapInPandas(run_partition, schema)
+        )
+
+
+def _trials_body(seeds: np.ndarray, output: str):
+    """Per-batch body and schema of a trial fan-out (see :func:`run_trials_df`)."""
+    if output == "summary":
+        def summary(engine: CSREngine, trials: list[int]) -> Iterator[pd.DataFrame]:
+            # num_iterations needs per-trial results, so this runs the
+            # per-trial kernel; counts cross-check run_many in tests.
+            rows = [engine.run(seeds, t) for t in trials]
+            yield pd.DataFrame(
+                {
+                    "trial": trials,
+                    "num_active": [r.num_active for r in rows],
+                    "num_iterations": [r.num_iterations for r in rows],
+                }
+            )
+
+        return summary, SUMMARY_SCHEMA
+    if output == "activations":
+        def activations(engine: CSREngine, trials: list[int]) -> Iterator[pd.DataFrame]:
+            for trial in trials:
+                res = engine.run(seeds, trial)
+                nodes = res.active_nodes
+                yield pd.DataFrame(
+                    {
+                        "trial": np.full(nodes.size, trial, np.int64),
+                        "node": nodes.astype(np.int64),
+                        "time": res.activation_time[nodes].astype(np.int32),
+                    }
+                )
+
+        return activations, ACTIVATION_SCHEMA
+    raise ValueError(f"output must be summary|activations, got {output!r}")
 
 
 def run_trials_df(
@@ -82,85 +152,35 @@ def run_trials_df(
             ``"activations"`` -> one row per activated node
             (trial, node, time), the input to heatmap/timeseries analytics.
 
-    Returns a lazily-evaluated DataFrame; each partition instantiates one
-    :class:`CSREngine` from the broadcast CSR arrays and loops its trials.
+    Bad weights, model, seeds or output raise ``ValueError`` here, before
+    any job. Returns a lazily-evaluated DataFrame holding one broadcast of
+    the graph; each partition instantiates one :class:`CSREngine` from it
+    and loops its trials.
     """
-    model = validate_model(model)
-    seeds = validate_seeds(csr.n, seeds)
-    if output not in ("summary", "activations"):
-        raise ValueError(f"output must be summary|activations, got {output!r}")
-    payload = spark.sparkContext.broadcast(
-        {
-            "n": csr.n,
-            "indptr": csr.indptr,
-            "indices": csr.indices,
-            "weights": np.asarray(weights, np.float64),
-            "seeds": seeds,
-            "model": model,
-        }
-    )
-    want_summary = output == "summary"
-
-    def run_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        p = payload.value
-        engine = CSREngine(
-            CSRGraph(n=p["n"], indptr=p["indptr"], indices=p["indices"]),
-            p["weights"],
-            model=p["model"],
-        )
-        for batch in batches:
-            trials = batch["trial"].tolist()
-            if want_summary:
-                # Per-trial results are still needed for num_iterations,
-                # so the per-trial kernel runs here; counts cross-check
-                # run_many in tests.
-                rows = [(t, engine.run(p["seeds"], int(t))) for t in trials]
-                yield pd.DataFrame(
-                    {
-                        "trial": [t for t, _ in rows],
-                        "num_active": [r.num_active for _, r in rows],
-                        "num_iterations": [r.num_iterations for _, r in rows],
-                    }
-                )
-            else:
-                for trial in trials:
-                    res = engine.run(p["seeds"], int(trial))
-                    nodes = res.active_nodes
-                    yield pd.DataFrame(
-                        {
-                            "trial": np.full(nodes.size, trial, np.int64),
-                            "node": nodes.astype(np.int64),
-                            "time": res.activation_time[nodes].astype(np.int32),
-                        }
-                    )
-
-    schema = SUMMARY_SCHEMA if want_summary else ACTIVATION_SCHEMA
-    return _trial_seeds_df(spark, trial_seeds).mapInPandas(run_partition, schema)
+    body, schema = _trials_body(validate_seeds(csr.n, seeds), output)
+    return _FanOut(spark, csr, weights, model).map(trial_seeds, body, schema)
 
 
 class SparkTrialEngine:
-    """Engine-protocol adapter running batches of trials through Spark.
+    """Engine adapter running batches of trials through Spark.
 
-    ``run_many(seeds, trial_seeds)`` returns the per-trial summary as
-    pandas; ``spread(seeds, trial_seeds)`` is the Monte-Carlo influence
-    estimate used by the Spark CELF backend and by Table 1's extra column.
+    The graph is validated and broadcast once, at construction, and every
+    ``run_many``/``spread`` call reuses that broadcast, so a Spark-backed
+    σ̂ inside CELF adds jobs but no broadcasts. ``run_many(seeds,
+    trial_seeds)`` returns the per-trial summary as pandas; ``spread`` is
+    the Monte-Carlo influence estimate, as for the local engines.
     """
-
-    kind = "spark"
 
     def __init__(
         self, spark: SparkSession, csr: CSRGraph, weights: np.ndarray, *, model: str = "ic"
     ) -> None:
-        self.spark = spark
         self.csr = csr
-        self.weights = np.asarray(weights, np.float64)
-        self.model = validate_model(model)
+        self._fan_out = _FanOut(spark, csr, weights, model)
 
     def run_many(self, seeds, trial_seeds) -> pd.DataFrame:
         """Collect (trial, num_active, num_iterations), ordered by trial."""
-        df = run_trials_df(
-            self.spark, self.csr, self.weights, seeds, trial_seeds, model=self.model
-        )
+        body, schema = _trials_body(validate_seeds(self.csr.n, seeds), "summary")
+        df = self._fan_out.map(trial_seeds, body, schema)
         return df.toPandas().sort_values("trial").reset_index(drop=True)
 
     def spread(self, seeds, trial_seeds) -> float:

@@ -17,9 +17,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
-from repro.diffusion.common import validate_model
-from repro.diffusion.csr_engine import CSREngine
 from repro.diffusion.rng import splitmix64_py
+from repro.diffusion.spark_engine import _FanOut
 from repro.graphs.csr import CSRGraph
 
 
@@ -37,20 +36,14 @@ def trial_seed_block(base_seed: int, n_trials: int) -> np.ndarray:
 
 
 def estimate_spread(engine, seeds, trial_seeds) -> float:
-    """Mean activated count over ``trial_seeds`` using a local engine.
+    """Mean activated count over ``trial_seeds``: ``engine.spread``.
 
-    Engines exposing a batched ``run_many`` (the CSR kernel) evaluate all
-    trials in one compiled kernel call; the interpreted baselines
-    loop — that difference is precisely what Table 2 measures.
+    Every engine implements ``spread``: the CSR kernel evaluates all
+    trials in one compiled call, the interpreted baselines loop ``run``
+    (that difference is precisely what Table 2 measures), and the Spark
+    trial engine fans the trials out over executors.
     """
-    if hasattr(engine, "spread"):  # SparkTrialEngine
-        return float(engine.spread(seeds, trial_seeds))
-    if hasattr(engine, "run_many"):
-        return float(engine.run_many(seeds, trial_seeds).mean())
-    total = 0
-    for t in np.asarray(trial_seeds).tolist():
-        total += engine.run(seeds, int(t)).num_active
-    return total / len(trial_seeds)
+    return float(engine.spread(seeds, trial_seeds))
 
 
 def make_sigma(engine, trial_seeds) -> Callable[[Sequence[int]], float]:
@@ -58,9 +51,7 @@ def make_sigma(engine, trial_seeds) -> Callable[[Sequence[int]], float]:
     block = np.asarray(trial_seeds, np.int64)
 
     def sigma(seed_set: Sequence[int]) -> float:
-        if hasattr(engine, "spread"):  # SparkTrialEngine
-            return engine.spread(seed_set, block)
-        return estimate_spread(engine, seed_set, block)
+        return engine.spread(seed_set, block)
 
     return sigma
 
@@ -87,42 +78,16 @@ def marginal_gains_spark(
 
     This is CELF's dominant cost — the first pass evaluates every node —
     and it is embarrassingly parallel over candidates, so candidates are
-    fanned out with ``mapInPandas`` while each worker runs the CSR kernel
-    over the shared CRN trial block. Returns (candidate, sigma_hat).
+    fanned out with ``mapInPandas`` (through the same fan-out helper as
+    :func:`~repro.diffusion.spark_engine.run_trials_df`, so bad weights
+    raise before any job) while each worker runs the CSR kernel over the
+    shared CRN trial block. Returns (candidate, sigma_hat).
     """
-    model = validate_model(model)
-    payload = spark.sparkContext.broadcast(
-        {
-            "n": csr.n,
-            "indptr": csr.indptr,
-            "indices": csr.indices,
-            "weights": np.asarray(weights, np.float64),
-            "base": [int(b) for b in base_seeds],
-            "trials": [int(t) for t in np.asarray(trial_seeds).tolist()],
-            "model": model,
-        }
-    )
+    base = {int(b) for b in base_seeds}
+    trials = np.asarray(trial_seeds)
 
-    def eval_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        p = payload.value
-        engine = CSREngine(
-            CSRGraph(n=p["n"], indptr=p["indptr"], indices=p["indices"]),
-            p["weights"],
-            model=p["model"],
-        )
-        for batch in batches:
-            out = []
-            for c in batch["candidate"].tolist():
-                seeds = sorted(set(p["base"]) | {int(c)})
-                out.append(
-                    (int(c), float(engine.run_many(seeds, p["trials"]).mean()))
-                )
-            yield pd.DataFrame(out, columns=["candidate", "sigma_hat"])
+    def gains(engine, cands: list[int]) -> Iterator[pd.DataFrame]:
+        sigma_hat = [engine.spread(sorted(base | {c}), trials) for c in cands]
+        yield pd.DataFrame({"candidate": cands, "sigma_hat": sigma_hat})
 
-    cand_pdf = pd.DataFrame({"candidate": pd.Series([int(c) for c in candidates], dtype="int64")})
-    num_part = max(1, min(len(cand_pdf), spark.sparkContext.defaultParallelism))
-    return (
-        spark.createDataFrame(cand_pdf)
-        .repartition(num_part)
-        .mapInPandas(eval_partition, _GAINS_SCHEMA)
-    )
+    return _FanOut(spark, csr, weights, model).map(candidates, gains, _GAINS_SCHEMA)

@@ -1,8 +1,10 @@
-"""Shared SparkSession bootstrap for spark-submit entrypoints.
+"""The reproduction's SparkSession configuration, shared by jobs and tests.
 
-Mirrors the test fixture's configuration (see conftest.py) so jobs and
-tests exercise the same Spark settings; under spark-submit the master and
-driver memory come from the submit command line instead.
+Broadcast joins are disabled session-wide so that shuffle/join code paths
+are exercised at test scale; a query that wants a broadcast join sets the
+threshold back itself. Master and driver memory are not set here: they are
+read at JVM launch, from the ``spark-submit`` command line or from
+``PYSPARK_SUBMIT_ARGS``.
 """
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.diffusion import CSREngine, PurePythonEngine, csr_engine
+from repro.diffusion import CSREngine, NDlibLikeEngine, PurePythonEngine, csr_engine
 from repro.graphs.csr import CSRGraph, build_csr
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import edge_weights, normalize_for_lt
@@ -139,8 +139,9 @@ class TestInputValidation:
         csr = star(4)
         w = np.full(csr.m, 0.5)
         w[2] = bad
-        with pytest.raises(ValueError, match="edge 2"):
-            CSREngine(csr, w, model=model)
+        for engine in (CSREngine, PurePythonEngine, NDlibLikeEngine):
+            with pytest.raises(ValueError, match="edge 2"):
+                engine(csr, w, model=model)
 
     @pytest.mark.parametrize(
         "indptr, indices",

@@ -7,7 +7,7 @@ from repro.diffusion.spark_engine import SparkTrialEngine, run_trials_df
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import edge_weights, normalize_for_lt
-from repro.im.spread import trial_seed_block
+from repro.im.spread import marginal_gains_spark, trial_seed_block
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +98,45 @@ def test_summary_schema(spark, workload):
         "num_active",
         "num_iterations",
     ]
+
+
+def test_bad_weights_rejected_before_any_job(spark, workload):
+    csr, w, seeds, block = workload
+    bad = w.copy()
+    bad[5] = np.nan
+    sc = spark.sparkContext
+    group = "test-bad-weights"
+    sc.setJobGroup(group, "bad weights must fail on the driver")
+    try:
+        for start in (
+            lambda: run_trials_df(spark, csr, bad, seeds, block),
+            lambda: marginal_gains_spark(spark, csr, bad, [0, 1], block),
+            lambda: SparkTrialEngine(spark, csr, bad),
+        ):
+            with pytest.raises(ValueError, match="edge 5"):
+                start()
+        assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
+        # The group does see jobs: the same fan-out with good weights runs one.
+        run_trials_df(spark, csr, w, seeds, block[:2]).collect()
+        assert list(sc.statusTracker().getJobIdsForGroup(group))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+
+
+def test_engine_broadcasts_its_graph_once(spark, workload, monkeypatch):
+    csr, w, seeds, block = workload
+    sc = spark.sparkContext
+    made = []
+    real = sc.broadcast
+
+    def counting(value):
+        made.append(value)
+        return real(value)
+
+    monkeypatch.setattr(sc, "broadcast", counting)
+    eng = SparkTrialEngine(spark, csr, w)
+    assert len(made) == 1
+    for _ in range(5):
+        eng.spread(seeds, block[:4])
+    assert len(made) == 1
