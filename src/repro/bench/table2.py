@@ -47,7 +47,7 @@ def bench_params() -> dict:
     return {
         "n": int(os.environ.get("REPRO_CELF_N", "1000")),
         "d": PAPER_D,
-        "k": int(os.environ.get("REPRO_CELF_K", str(PAPER_K))),
+        "k": PAPER_K,
         "mc": int(os.environ.get("REPRO_CELF_MC", "50")),
     }
 

@@ -66,10 +66,11 @@ class _FanOut:
     The constructor checks the weights and model on the driver, so bad
     input raises ``ValueError`` before any job runs, then ships the graph
     with one ``SparkContext.broadcast``. :meth:`map` spreads int64 keys
-    over ``min(len(keys), defaultParallelism)`` partitions; each partition
-    builds one :class:`CSREngine` from the broadcast and passes it, with
-    each batch's keys, to ``body``, which yields pandas frames of
-    ``schema``.
+    over ``min(len(keys), defaultParallelism)`` partitions (one when there
+    are no keys: the key schema is explicit, so an empty block gives an
+    empty result); each partition builds one :class:`CSREngine` from the
+    broadcast and passes it, with each batch's keys, to ``body``, which
+    yields pandas frames of ``schema``.
     """
 
     def __init__(self, spark: SparkSession, csr: CSRGraph, weights, model: str) -> None:
@@ -96,7 +97,7 @@ class _FanOut:
         keys = pd.DataFrame({"key": pd.Series([int(k) for k in keys], dtype="int64")})
         num_part = max(1, min(len(keys), self.spark.sparkContext.defaultParallelism))
         return (
-            self.spark.createDataFrame(keys)
+            self.spark.createDataFrame(keys, "key long")
             .repartition(num_part)
             .mapInPandas(run_partition, schema)
         )

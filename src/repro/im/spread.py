@@ -25,10 +25,13 @@ from repro.graphs.csr import CSRGraph
 def trial_seed_block(base_seed: int, n_trials: int) -> np.ndarray:
     """Deterministic block of distinct 63-bit trial seeds.
 
-    Hash-derived (splitmix64) so disjoint blocks never collide for
-    different ``base_seed`` values, keeping Monte-Carlo batches
-    independent across experiments.
+    Trial i of base seed b hashes the key ``(b << 20) + i`` (splitmix64),
+    so blocks of different ``base_seed`` values never collide, keeping
+    Monte-Carlo batches independent across experiments. That holds only
+    while i < 2**20, so longer blocks raise ``ValueError``.
     """
+    if n_trials > 1 << 20:
+        raise ValueError(f"n_trials={n_trials} exceeds 2**20: blocks would overlap")
     return np.asarray(
         [splitmix64_py((base_seed << 20) + i) >> 1 for i in range(n_trials)],
         dtype=np.int64,

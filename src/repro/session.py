@@ -8,8 +8,6 @@ read at JVM launch, from the ``spark-submit`` command line or from
 """
 from __future__ import annotations
 
-import os
-
 from pyspark.sql import SparkSession
 
 
@@ -17,10 +15,7 @@ def get_session(app_name: str) -> SparkSession:
     """Session with the reproduction's standard configs applied."""
     return (
         SparkSession.builder.appName(app_name)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

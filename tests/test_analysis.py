@@ -131,3 +131,27 @@ def test_timeseries_monotone_and_bounded(spark, workload):
     assert (np.diff(vals) >= 0).all()
     assert vals[0] == pytest.approx(len(SEEDS))  # t=0: exactly the seeds
     assert vals[-1] <= csr.n
+
+
+def test_timeseries_is_lazy(spark, workload):
+    _, _, _, act_pdf = workload
+    act = spark.createDataFrame(act_pdf)
+    sc = spark.sparkContext
+    group = "test-timeseries-lazy"
+    sc.setJobGroup(group, "building the curve must not run a job")
+    try:
+        curve = mean_active_over_time_df(spark, act, N_TRIALS)
+        assert [(f.name, f.dataType.simpleString()) for f in curve.schema.fields] == [
+            ("time", "bigint"),
+            ("mean_active", "double"),
+        ]
+        assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+
+
+def test_timeseries_rows_are_every_step_in_order(spark, workload):
+    _, _, _, act_pdf = workload
+    got = mean_active_over_time_df(spark, spark.createDataFrame(act_pdf), N_TRIALS).toPandas()
+    assert got["time"].tolist() == list(range(int(act_pdf["time"].max()) + 1))

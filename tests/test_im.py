@@ -7,6 +7,7 @@ from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi, random_regular
 from repro.graphs.weights import edge_weights
 from repro.im import celf, greedy, make_sigma, trial_seed_block
+from repro.im import spread as spread_mod
 from repro.im.spread import estimate_spread
 
 from tests.helpers import line, star
@@ -36,6 +37,14 @@ class TestTrialSeedBlock:
 
     def test_non_negative(self):
         assert (trial_seed_block(3, 100) >= 0).all()
+
+    def test_longer_than_key_space_rejected(self, monkeypatch):
+        """2**20 + 1 trials would reach base 1's first key: raise, hash nothing."""
+        hashed = []
+        monkeypatch.setattr(spread_mod, "splitmix64_py", hashed.append)
+        with pytest.raises(ValueError, match="overlap"):
+            trial_seed_block(0, 2**20 + 1)
+        assert hashed == []
 
 
 class TestEstimateSpread:
@@ -138,6 +147,16 @@ class TestCELF:
     def test_deterministic(self, setup):
         csr, *_, sigma = setup
         assert celf(sigma, range(csr.n), 3).seeds == celf(sigma, range(csr.n), 3).seeds
+
+    def test_k_equals_n(self, setup):
+        """k == |candidates|: every candidate once, same as greedy, full-set σ̂."""
+        *_, sigma = setup
+        c = celf(sigma, range(8), 8)
+        g = greedy(sigma, range(8), 8)
+        assert c.seeds == g.seeds
+        assert np.allclose(c.sigma_values, g.sigma_values)
+        assert sorted(c.seeds) == list(range(8))
+        assert c.sigma_values[-1] == pytest.approx(sigma(list(range(8))))
 
 
 class TestCELFOnRegularGraph:

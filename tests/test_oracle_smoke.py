@@ -1,63 +1,68 @@
-"""Smoke tests for the provided substrate: synth_data + DuckDB oracle.
+"""Smoke tests for the DuckDB oracle on the reproduction's own graph tables.
 
-The paper's data are graphs, but the provided TPC-H-lite generators and
-oracle are part of the workspace contract — keep them exercised so the
-oracle path (used heavily by the Spark-side graph tests) is known-good.
+The oracle path is used heavily by the Spark-side graph and analytics
+tests, so it is checked here on its own: plain aggregations and joins
+over the edge table agree with DuckDB, and a wrong result is caught.
 """
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
+from repro.graphs.csr import build_csr
+from repro.graphs.generators import erdos_renyi
+from repro.graphs.spark_io import edges_df
+from repro.graphs.weights import edge_weights
 from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
-def li(spark):
-    return synth_data.lineitem(spark, sf=0.001, seed=0).cache()
+def graph():
+    csr = build_csr(erdos_renyi(300, 0.02, seed=0))
+    return csr, edge_weights(csr, "UR", seed=1)
 
 
-def test_lineitem_rowcount(spark, li):
-    assert li.count() == 6000
+@pytest.fixture(scope="module")
+def edges(spark, graph):
+    csr, w = graph
+    return edges_df(spark, csr, w).cache()
 
 
-def test_simple_aggregation_matches_duckdb(spark, li):
-    got = li.groupBy("l_returnflag").agg(
-        F.count("*").alias("cnt"), F.round(F.sum("l_quantity"), 2).alias("qty")
+def test_edges_rowcount(graph, edges):
+    csr, _ = graph
+    assert edges.count() == csr.m
+
+
+def test_simple_aggregation_matches_duckdb(edges):
+    got = edges.groupBy("src").agg(
+        F.count("*").alias("cnt"), F.round(F.sum("weight"), 2).alias("w")
     )
     assert_equivalent(
         got,
-        """
-        SELECT l_returnflag, COUNT(*) AS cnt, ROUND(SUM(l_quantity), 2) AS qty
-        FROM li GROUP BY l_returnflag
-        """,
-        li=li,
+        "SELECT src, COUNT(*) AS cnt, ROUND(SUM(weight), 2) AS w FROM e GROUP BY src",
+        e=edges,
     )
 
 
-def test_join_matches_duckdb(spark, li):
-    orders = synth_data.orders(spark, sf=0.001, seed=1)
+def test_join_matches_duckdb(edges):
+    a, b = edges.alias("a"), edges.alias("b")
     got = (
-        li.join(orders, li.l_orderkey == orders.o_orderkey)
-        .groupBy("o_orderpriority")
-        .agg(F.count("*").alias("cnt"))
+        a.join(b, F.col("a.dst") == F.col("b.src"))
+        .groupBy(F.col("a.src").alias("node"))
+        .agg(F.count("*").alias("two_hop"))
     )
     assert_equivalent(
         got,
         """
-        SELECT o_orderpriority, COUNT(*) AS cnt
-        FROM li JOIN orders ON l_orderkey = o_orderkey
-        GROUP BY o_orderpriority
+        SELECT a.src AS node, COUNT(*) AS two_hop
+        FROM e a JOIN e b ON a.dst = b.src
+        GROUP BY a.src
         """,
-        li=li,
-        orders=orders,
+        e=edges,
     )
 
 
-def test_oracle_catches_wrong_result(spark, li):
-    wrong = li.groupBy("l_returnflag").agg((F.count("*") + 1).alias("cnt"))
+def test_oracle_catches_wrong_result(edges):
+    wrong = edges.groupBy("src").agg((F.count("*") + 1).alias("cnt"))
     with pytest.raises(AssertionError):
         assert_equivalent(
-            wrong,
-            "SELECT l_returnflag, COUNT(*) AS cnt FROM li GROUP BY l_returnflag",
-            li=li,
+            wrong, "SELECT src, COUNT(*) AS cnt FROM e GROUP BY src", e=edges
         )

@@ -140,3 +140,29 @@ def test_engine_broadcasts_its_graph_once(spark, workload, monkeypatch):
     for _ in range(5):
         eng.spread(seeds, block[:4])
     assert len(made) == 1
+
+
+def test_empty_trial_block_gives_empty_frame(spark, workload):
+    csr, w, seeds, _ = workload
+    eng = SparkTrialEngine(spark, csr, w)
+    pdf = eng.run_many(seeds, [])
+    assert len(pdf) == 0
+    assert {"trial", "num_active"} <= set(pdf.columns)
+    assert np.isnan(eng.spread(seeds, []))
+
+
+def test_no_candidates_gives_empty_gains(spark, workload):
+    csr, w, _, block = workload
+    pdf = marginal_gains_spark(spark, csr, w, [], block[:4]).toPandas()
+    assert len(pdf) == 0
+    assert list(pdf.columns) == ["candidate", "sigma_hat"]
+
+
+def test_one_trial_block_matches_local(spark, workload):
+    """Fewer trials than defaultParallelism: one partition, same result."""
+    csr, w, seeds, block = workload
+    pdf = SparkTrialEngine(spark, csr, w).run_many(seeds, block[:1])
+    r = make_engine("csr", csr, w).run(seeds, int(block[0]))
+    assert pdf["trial"].tolist() == [int(block[0])]
+    assert pdf["num_active"].tolist() == [r.num_active]
+    assert pdf["num_iterations"].tolist() == [r.num_iterations]
