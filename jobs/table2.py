@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 
 from repro.bench.table2 import (
+    PAPER_K,
     PAPER_N,
     PAPER_NDLIB_TIMEOUT_S,
     estimate_ndlib_celf_seconds,
@@ -30,7 +31,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=PAPER_N)
     ap.add_argument("--mc", type=int, default=100)
-    ap.add_argument("--k", type=int, default=10)
+    ap.add_argument("--k", type=int, default=PAPER_K)
     ap.add_argument("--backends", type=str, default="csr,pure_python")
     ap.add_argument("--ndlib-estimate", action="store_true")
     args = ap.parse_args()

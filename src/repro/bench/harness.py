@@ -39,19 +39,6 @@ def pick_seed_nodes(n: int, k: int, *, seed: int = 7) -> np.ndarray:
     return np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
 
 
-def run_timed(engine, seeds, trial_seeds) -> tuple[float, float]:
-    """(seconds, mean_spread) of one ``engine.spread`` call over all trials.
-
-    Each engine runs the trials its own way: the CSR engine in one
-    compiled kernel call, the interpreted baselines trial by trial, the
-    Spark engine as one fan-out job. That asymmetry is what the paper's
-    CyNetDiff-vs-Python comparison measures.
-    """
-    t0 = time.perf_counter()
-    spread = engine.spread(seeds, trial_seeds)
-    return time.perf_counter() - t0, spread
-
-
 def simple_benchmark(
     csr: CSRGraph,
     weights: np.ndarray,
@@ -69,6 +56,11 @@ def simple_benchmark(
     Every implementation runs the *same* trial-seed block, so their
     ``mean_spread`` values must agree exactly — the harness asserts this,
     turning every benchmark run into a cross-engine correctness check.
+    Each timing is one ``engine.spread`` call over all trials, and each
+    engine runs them its own way: the CSR engine in one compiled kernel
+    call, the interpreted baselines trial by trial, the Spark engine as
+    one fan-out job. That asymmetry is what the paper's CyNetDiff-vs-Python
+    comparison measures.
     """
     seeds = pick_seed_nodes(csr.n, n_seed_nodes)
     block = trial_seed_block(base_seed, trials)
@@ -80,7 +72,9 @@ def simple_benchmark(
             eng = SparkTrialEngine(spark, csr, weights, model=model)
         else:
             eng = make_engine(kind, csr, weights, model=model)
-        secs, spread = run_timed(eng, seeds, block)
+        t0 = time.perf_counter()
+        spread = eng.spread(seeds, block)
+        secs = time.perf_counter() - t0
         out.append(
             BenchResult(
                 name=kind,

@@ -14,7 +14,6 @@ ratios imply, and the Facebook graph is the synthetic SNAP substitute
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,11 +39,6 @@ PAPER_TRIALS = 1000
 PAPER_N_SEEDS = 100
 
 
-def default_trials() -> int:
-    """Trial count: paper uses 1,000; benchmarks default lower via env."""
-    return int(os.environ.get("REPRO_BENCH_TRIALS", "100"))
-
-
 def table1_graphs(*, seed: int = 42) -> dict[str, CSRGraph]:
     """The three benchmark graphs, keyed by their table row label."""
     return {
@@ -67,14 +61,13 @@ class Table1Row:
 
 def run_table1(
     *,
-    trials: int | None = None,
+    trials: int,
     engines: Sequence[str] = ("csr", "pure_python", "ndlib_like"),
     graphs: dict[str, CSRGraph] | None = None,
     spark=None,
     weight_seed: int = 11,
 ) -> list[Table1Row]:
     """Produce every Table 1 row (optionally with the extra Spark column)."""
-    trials = trials if trials is not None else default_trials()
     graphs = graphs if graphs is not None else table1_graphs()
     rows: list[Table1Row] = []
     for gname, csr in graphs.items():

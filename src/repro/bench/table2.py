@@ -4,14 +4,13 @@ Paper workload: CELF selecting 10 seeds on a 5,000-node random 7-regular
 graph (35,000 undirected edges), EWMs TV and WC; run-times in seconds
 (CyNetDiff 2s/10s, pure Python 26s/153s, NDlib did not finish within 5
 minutes). The engine-vs-engine *ratio* is the claim being reproduced;
-graph size and Monte-Carlo sample count default smaller here (env
-``REPRO_CELF_N`` / ``REPRO_CELF_MC``) and the paper scale is runnable via
-``jobs/table2.py``. NDlib's DNF is reproduced by extrapolation: a few
-NDlib-backed sigma evaluations are timed and scaled to CELF's first pass.
+``run_table2`` takes graph size, seed budget and Monte-Carlo sample count
+as arguments, and ``jobs/table2.py`` runs it at any scale. NDlib's DNF is
+reproduced by extrapolation: a few NDlib-backed sigma evaluations are
+timed and scaled to CELF's first pass.
 """
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,16 +39,6 @@ PAPER_TABLE2 = {
 PAPER_NDLIB_TIMEOUT_S = 300.0
 PAPER_N, PAPER_D, PAPER_K = 5000, 7, 10
 TABLE2_EWMS = ("TV", "WC")
-
-
-def bench_params() -> dict:
-    """Benchmark-scale parameters (env-overridable; jobs use paper scale)."""
-    return {
-        "n": int(os.environ.get("REPRO_CELF_N", "1000")),
-        "d": PAPER_D,
-        "k": PAPER_K,
-        "mc": int(os.environ.get("REPRO_CELF_MC", "50")),
-    }
 
 
 def table2_graph(n: int = PAPER_N, d: int = PAPER_D, *, seed: int = 42) -> CSRGraph:
@@ -155,19 +144,15 @@ def estimate_ndlib_celf_seconds(
 def run_table2(
     *,
     backends: Sequence[str] = ("csr", "pure_python"),
-    n: int | None = None,
-    k: int | None = None,
-    mc: int | None = None,
+    n: int,
+    k: int,
+    mc: int,
     graph_seed: int = 42,
     weight_seed: int = 11,
     spark=None,
 ) -> list[Table2Row]:
-    """Produce all Table 2 cells at the configured scale."""
-    p = bench_params()
-    n = n if n is not None else p["n"]
-    k = k if k is not None else p["k"]
-    mc = mc if mc is not None else p["mc"]
-    csr = table2_graph(n, p["d"], seed=graph_seed)
+    """Produce all Table 2 cells on a random 7-regular graph of ``n`` nodes."""
+    csr = table2_graph(n, PAPER_D, seed=graph_seed)
     rows: list[Table2Row] = []
     for ewm in TABLE2_EWMS:
         w = edge_weights(csr, ewm, seed=weight_seed)

@@ -43,10 +43,18 @@ class DiffusionResult:
 
 
 def validate_seeds(n: int, seeds) -> np.ndarray:
-    """Normalize a seed set: int64, deduplicated, sorted, range-checked."""
-    s = np.unique(np.asarray(list(seeds), dtype=np.int64))
+    """Normalize a seed set: int64, deduplicated, sorted, range-checked.
+
+    Float, bool and object seeds raise ``ValueError``: casting them to
+    int64 would silently run a different seed set (1.5 and True both
+    become node 1).
+    """
+    s = np.asarray(list(seeds))
     if s.size == 0:
         raise ValueError("seed set must be non-empty")
+    if s.dtype.kind not in "iu":
+        raise ValueError(f"seeds must be integers, got dtype {s.dtype}")
+    s = np.unique(s.astype(np.int64, copy=False))
     if s[0] < 0 or s[-1] >= n:
         raise ValueError(f"seed out of range [0, {n})")
     return s

@@ -203,7 +203,7 @@ def sample_live_edges(
     the threshold engines is distributional, not per-trial.
     """
     model = validate_model(model)
-    w = np.asarray(weights, np.float64)
+    w = validate_weights(csr.m, weights)
     if model == "ic":
         eids = np.arange(csr.m, dtype=np.int64)
         live = uniforms(STREAM_IC_COIN, trial_seed, eids) < w

@@ -3,6 +3,9 @@
 These run the real table code paths at tiny scale so the drivers behind
 Table 1 / Table 2 are exercised (and cross-checked) on every test run.
 """
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -168,3 +171,25 @@ class TestTable2Driver:
         rows = run_table2(backends=("csr",), n=60, k=2, mc=5)
         text = format_table2(rows)
         assert text.startswith("| EWM | backend |")
+
+
+def _env_reads(path: Path) -> set[str]:
+    """Names a module reads with ``os.environ[...]``, ``os.environ.get`` or ``os.getenv``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Subscript):
+            target, key = node.value, node.slice
+        elif isinstance(node, ast.Call) and node.args:
+            target, key = node.func, node.args[0]
+        else:
+            continue
+        if ast.unparse(target) in ("os.environ", "os.environ.get", "os.getenv"):
+            names.add(key.value if isinstance(key, ast.Constant) else ast.unparse(key))
+    return names
+
+
+def test_src_reads_only_kernel_build_environment():
+    """No sizing knobs: the only environment ``src/`` reads is the kernel build's."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    names = set().union(*(_env_reads(p) for p in src.rglob("*.py")))
+    assert names == {"CC", "XDG_CACHE_HOME"}

@@ -144,6 +144,18 @@ class TestInputValidation:
                 engine(csr, w, model=model)
 
     @pytest.mark.parametrize(
+        "seeds", [[1.5], [True], np.array([0.0, 2.0])], ids=["float", "bool", "float-array"]
+    )
+    def test_non_integer_seeds_rejected(self, seeds):
+        csr = star(4)
+        for engine in (CSREngine, PurePythonEngine, NDlibLikeEngine):
+            e = engine(csr, np.full(csr.m, 0.5))
+            with pytest.raises(ValueError, match="seeds must be integers"):
+                e.run(seeds, 1)
+            with pytest.raises(ValueError, match="seeds must be integers"):
+                e.run_many(seeds, [1, 2])
+
+    @pytest.mark.parametrize(
         "indptr, indices",
         [([0, 1, 2], [1, 2]), ([0, 2, 1], [1, 0]), ([0, 1, 3], [1, 0]), ([0, 1], [0])],
     )

@@ -54,16 +54,25 @@ def test_frontier_matches_duckdb_recursive(spark, workload, trial_idx):
     )
 
 
-@pytest.mark.parametrize("trial_idx", range(3))
-def test_frontier_matches_ic_engine_per_trial(spark, workload, trial_idx):
+# WC cases keep their bare trial-index ids; UR cascades flood the graph.
+_PER_TRIAL_CASES = [pytest.param("WC", i, id=str(i)) for i in range(3)] + [
+    pytest.param("UR", i, id=f"UR-{i}") for i in range(3)
+]
+
+
+@pytest.mark.parametrize("ewm, trial_idx", _PER_TRIAL_CASES)
+def test_frontier_matches_ic_engine_per_trial(spark, workload, ewm, trial_idx):
     """IC live edges reuse the engines' coin stream, so reachability over
     them reproduces the CSR engine's trial bit-for-bit (times included)."""
-    csr, w, seeds = workload
+    csr, _, seeds = workload
+    w = edge_weights(csr, ewm)
     trial = int(trial_seed_block(10, 10)[trial_idx])
     le = sample_live_edges(csr, w, trial, model="ic")
     ledf = spark.createDataFrame(pd.DataFrame(le, columns=["src", "dst"]))
     got = frontier_reachability_df(spark, ledf, seeds).toPandas()
     r = make_engine("csr", csr, w, model="ic").run(seeds, trial)
+    if ewm == "UR":
+        assert r.num_active > csr.n // 2
     assert set(got["node"]) == set(r.active_nodes.tolist())
     tmap = dict(zip(got["node"], got["time"]))
     for v in r.active_nodes.tolist():
@@ -91,6 +100,14 @@ def test_sample_live_edges_ic_rate():
             counts[edge_index[tuple(e)]] += 1
     freq = counts / len(block)
     assert np.abs(freq - w).max() < 0.08
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.5])
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_sample_live_edges_rejects_bad_weights(bad, model):
+    csr = build_csr(erdos_renyi(50, 0.1, seed=3))
+    with pytest.raises(ValueError, match="edge"):
+        sample_live_edges(csr, np.full(csr.m, bad), 1, model=model)
 
 
 def test_sample_live_edges_lt_at_most_one_per_node():
