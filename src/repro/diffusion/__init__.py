@@ -15,9 +15,10 @@ trial_seed)`` they produce *identical* activated sets:
   fan-out plus a DataFrame-native frontier engine.
 
 Every engine offers ``run(seeds, trial_seed)``, ``run_many(seeds,
-trial_seeds)`` and ``spread(seeds, trial_seeds)``; the local ones share
-the :class:`~repro.diffusion.common.Engine` base, which validates the
-weights and model and supplies the trial loop and ``spread``.
+trial_seeds)``, ``spread(seeds, trial_seeds)`` and ``gains(base,
+candidates, trial_seeds)``; the local ones share the
+:class:`~repro.diffusion.common.Engine` base, which validates the weights
+and model and supplies the trial loop, ``spread`` and ``gains``.
 :mod:`repro.diffusion.exact` provides brute-force ground-truth influence
 for statistical tests.
 """

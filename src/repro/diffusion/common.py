@@ -42,22 +42,31 @@ class DiffusionResult:
         return np.cumsum(self.frontier_sizes())
 
 
-def validate_seeds(n: int, seeds) -> np.ndarray:
-    """Normalize a seed set: int64, deduplicated, sorted, range-checked.
+def validate_nodes(n: int, nodes, what: str = "node") -> np.ndarray:
+    """Node ids as int64, in the given order, range-checked.
 
-    Float, bool and object seeds raise ``ValueError``: casting them to
-    int64 would silently run a different seed set (1.5 and True both
-    become node 1).
+    Float, bool and object ids raise ``ValueError``: casting them to int64
+    would silently use other nodes (1.5 and True both become node 1).
+    ``what`` names the ids in the error messages.
     """
-    s = np.asarray(list(seeds))
+    s = np.asarray(list(nodes)).ravel()
+    if s.size == 0:
+        return np.empty(0, np.int64)
+    if s.dtype.kind not in "iu":
+        raise ValueError(f"{what}s must be integers, got dtype {s.dtype}")
+    s = s.astype(np.int64, copy=False)
+    ends = np.sort(s)[[0, -1]]  # cheaper than min() and max() on short inputs
+    if ends[0] < 0 or ends[1] >= n:
+        raise ValueError(f"{what} out of range [0, {n})")
+    return s
+
+
+def validate_seeds(n: int, seeds) -> np.ndarray:
+    """Normalize a seed set: int64, deduplicated, sorted, range-checked."""
+    s = validate_nodes(n, seeds, "seed")
     if s.size == 0:
         raise ValueError("seed set must be non-empty")
-    if s.dtype.kind not in "iu":
-        raise ValueError(f"seeds must be integers, got dtype {s.dtype}")
-    s = np.unique(s.astype(np.int64, copy=False))
-    if s[0] < 0 or s[-1] >= n:
-        raise ValueError(f"seed out of range [0, {n})")
-    return s
+    return np.unique(s)
 
 
 def validate_weights(m: int, weights) -> np.ndarray:
@@ -84,12 +93,14 @@ def validate_model(model: str) -> str:
 
 
 class Engine:
-    """The engine contract: ``run``, ``run_many`` and ``spread``.
+    """The engine contract: ``run``, ``run_many``, ``spread`` and ``gains``.
 
     The constructor validates and stores the graph, weights and model.
     Subclasses implement ``run(seeds, trial_seed)``; the default
-    ``run_many`` loops it over the trial seeds, and ``spread`` is the mean
-    of ``run_many``, so a compiled engine only overrides ``run_many``.
+    ``run_many`` loops it over the trial seeds, ``spread`` is the mean of
+    ``run_many`` and ``gains`` loops ``spread`` over the candidates, so a
+    compiled engine only overrides ``run_many`` and, where it can batch
+    candidates, ``gains``.
     """
 
     def __init__(self, csr, weights, *, model: str = "ic") -> None:
@@ -111,3 +122,17 @@ class Engine:
     def spread(self, seeds, trial_seeds) -> float:
         """Mean activated-node count over ``trial_seeds``."""
         return float(self.run_many(seeds, trial_seeds).mean())
+
+    def gains(self, base, candidates, trial_seeds) -> np.ndarray:
+        """``spread(base + {c}, trial_seeds)`` for each candidate ``c``, in order.
+
+        ``base`` may be empty; a candidate may lie in it.
+        """
+        base = validate_nodes(self.csr.n, base, "seed").tolist()
+        return np.array(
+            [
+                self.spread([*base, c], trial_seeds)
+                for c in validate_nodes(self.csr.n, candidates, "candidate").tolist()
+            ],
+            np.float64,
+        )

@@ -26,12 +26,13 @@ import shlex
 import subprocess
 import sysconfig
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from repro.diffusion.common import DiffusionResult, Engine, validate_seeds
+from repro.diffusion.common import DiffusionResult, Engine, validate_nodes, validate_seeds
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
     STREAM_LT_THRESHOLD,
@@ -93,6 +94,9 @@ def _load_kernel() -> ctypes.CDLL | None:
     lib.ic_many.argtypes = common
     lib.lt_many.argtypes = common + [p, p, p]
     lib.ic_many.restype = lib.lt_many.restype = i64
+    lib.ic_reach.argtypes = common[:8] + [p, i64, p, p]
+    lib.ic_gains.argtypes = common[:8] + [p, i64, i64, p, p, p]
+    lib.ic_reach.restype = lib.ic_gains.restype = None
     return lib
 
 
@@ -109,6 +113,11 @@ def _trial_keys(trial_seeds) -> np.ndarray:
     # Python ints one by one: a list mixing negative and >= 2**63 seeds
     # would otherwise be converted through float64.
     return np.array([int(t) & ((1 << 64) - 1) for t in trial_seeds], np.uint64)
+
+
+def _address(a: np.ndarray) -> ctypes.c_void_p:
+    """Address of ``a``'s data; the caller keeps ``a`` alive while it is used."""
+    return ctypes.c_void_p(a.ctypes.data)
 
 
 def _gather_out_edges(csr: CSRGraph, frontier: np.ndarray) -> np.ndarray:
@@ -149,6 +158,16 @@ class CSREngine(Engine):
             or (dst.size and (dst.min() < 0 or dst.max() >= csr.n))
         ):
             raise ValueError("malformed CSR graph: indptr or indices out of range")
+        # Addresses of arrays ``self`` keeps alive, bound once: each
+        # ``ndarray.ctypes`` lookup costs microseconds, and CELF calls
+        # ``gains`` thousands of times. ctypes refuses to pickle them.
+        self._graph = [_address(a) for a in (ptr, dst, self.weights)]
+        # gains() scratch, used under a lock: a seen mask that every call
+        # leaves zeroed, a search queue, and the last base's reach.
+        self._gains_lock = threading.Lock()
+        self._seen, self._queue = np.zeros(csr.n, np.uint8), np.empty(csr.n, np.int64)
+        self._seen_at, self._queue_at = _address(self._seen), _address(self._queue)
+        self._last_reach = None
 
     def run(self, seeds, trial_seed: int) -> DiffusionResult:
         """Run one trial; deterministic in ``trial_seed``."""
@@ -194,10 +213,7 @@ class CSREngine(Engine):
         n = self.csr.n
         act = np.full(n, -1, np.int32)
         queue = np.empty(n, np.int64)
-        args = [
-            self._indptr.ctypes.data, self._indices.ctypes.data, self.weights.ctypes.data,
-            seeds.ctypes.data, seeds.size, keys.ctypes.data, keys.size,
-        ]
+        args = [*self._graph, seeds.ctypes.data, seeds.size, keys.ctypes.data, keys.size]
         state = [act.ctypes.data, queue.ctypes.data, counts.ctypes.data]
         if self.model == "ic":
             return act, _LIB.ic_many(*args, STREAM_IC_COIN, *state)
@@ -207,6 +223,56 @@ class CSREngine(Engine):
             *args, STREAM_LT_THRESHOLD, *state,
             acc.ctypes.data, lists.ctypes.data, lists[n:].ctypes.data,
         )
+
+    def gains(self, base, candidates, trial_seeds) -> np.ndarray:
+        """``spread(base + {c}, trial_seeds)`` for each candidate ``c``, in order.
+
+        Under IC with the compiled kernel, all candidates and trials run in
+        one call. Each trial's live edges are fixed by its coins, so
+        R_k(base + {c}) = R_k(base) + R_k(c): the reach R_k(base) is marked
+        once per distinct base (trials x n bytes; only the last base is
+        kept), and each candidate's search stops where it enters it. The
+        counts are the same integers as ``run_many``'s, so the result
+        equals ``spread`` bit for bit (while each candidate's total over
+        the trials stays below 2**53). LT and the NumPy fallback loop
+        ``spread``: an incremental LT closure would add incoming weights
+        in another order.
+        """
+        if self.model != "ic" or _LIB is None:
+            return super().gains(base, candidates, trial_seeds)
+        cands = validate_nodes(self.csr.n, candidates, "candidate")
+        base = np.sort(validate_nodes(self.csr.n, base, "seed"))
+        keys = _trial_keys(trial_seeds)
+        totals = np.empty(cands.size, np.int64)
+        with self._gains_lock:
+            _LIB.ic_gains(
+                *self._graph, cands.ctypes.data, cands.size, *self._reach(base, keys),
+                self._seen_at, self._queue_at, totals.ctypes.data,
+            )
+        return totals / keys.size
+
+    def _reach(self, base: np.ndarray, keys: np.ndarray) -> tuple:
+        """``ic_gains``'s trial and reach arguments for ``base`` over ``keys``.
+
+        The marks R_k(base) are rebuilt only when ``base`` or the trial
+        block differs from the last call's. Called under ``_gains_lock``.
+        """
+        tag = (base.tobytes(), keys.tobytes())
+        if self._last_reach is None or self._last_reach[0] != tag:
+            n = self.csr.n
+            reach = np.zeros((keys.size, n) if base.size else n, np.uint8)
+            counts = np.zeros(keys.size, np.int64)
+            if base.size:
+                _LIB.ic_reach(
+                    *self._graph, base.ctypes.data, base.size, keys.ctypes.data, keys.size,
+                    STREAM_IC_COIN, reach.ctypes.data, n, self._queue_at, counts.ctypes.data,
+                )
+            args = (
+                _address(keys), keys.size, STREAM_IC_COIN,
+                _address(reach), n if base.size else 0, int(counts.sum()),
+            )
+            self._last_reach = (tag, keys, reach, args)  # keeps the addressed arrays alive
+        return self._last_reach[3]
 
     def _run_ic_batch(self, seeds: np.ndarray, chunk) -> tuple[np.ndarray, int]:
         """NumPy fallback: one IC BFS over (trial, node) pairs for a trial chunk.

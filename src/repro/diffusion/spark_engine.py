@@ -38,7 +38,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import IntegerType, LongType, StructField, StructType
 
-from repro.diffusion.common import validate_model, validate_seeds, validate_weights
+from repro.diffusion.common import Engine, validate_model, validate_seeds, validate_weights
 from repro.diffusion.csr_engine import CSREngine
 from repro.diffusion.rng import STREAM_IC_COIN, STREAM_LT_PICK, uniforms
 from repro.graphs.csr import CSRGraph
@@ -169,7 +169,8 @@ class SparkTrialEngine:
     ``run_many``/``spread`` call reuses that broadcast, so a Spark-backed
     σ̂ inside CELF adds jobs but no broadcasts. ``run_many(seeds,
     trial_seeds)`` returns the per-trial summary as pandas; ``spread`` is
-    the Monte-Carlo influence estimate, as for the local engines.
+    the Monte-Carlo influence estimate and ``gains`` loops it over
+    candidates, as for the local engines.
     """
 
     def __init__(
@@ -187,6 +188,8 @@ class SparkTrialEngine:
     def spread(self, seeds, trial_seeds) -> float:
         """Mean number of activated nodes across trials."""
         return float(self.run_many(seeds, trial_seeds)["num_active"].mean())
+
+    gains = Engine.gains  # one fan-out per candidate
 
 
 def sample_live_edges(

@@ -11,12 +11,21 @@ the savings.
 The first pass still evaluates every candidate once; callers can supply
 those values precomputed (``initial_gains``), which is how the Spark
 backend parallelizes them via ``repro.im.spread.marginal_gains_spark``.
+
+A ``sigma`` with a ``gains(base, candidates)`` method (``make_sigma``'s
+``Sigma``) evaluates many candidates per call: the first pass is one
+``gains([], candidates)`` call and each lazy re-evaluation one
+``gains(chosen, [v])`` call, which the compiled IC engine answers from the
+current seed set's cached reach. Any other callable is evaluated one seed
+set at a time. Both give the same values, picks and ``n_evals``.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
+
+from repro.im.greedy import distinct_candidates
 
 
 @dataclass(frozen=True)
@@ -32,6 +41,14 @@ class CELFResult:
     seeds: list[int]
     sigma_values: list[float]
     n_evals: int
+
+
+def _gains_of(sigma: Callable[[Sequence[int]], float]):
+    """``gains(base, candidates) -> sigma(base + {c}) per candidate`` for ``sigma``."""
+    gains = getattr(sigma, "gains", None)
+    if gains is not None:
+        return gains
+    return lambda base, cands: [sigma([*base, c]) for c in cands]
 
 
 def celf(
@@ -50,30 +67,28 @@ def celf(
         k: number of seeds.
         initial_gains: optional precomputed sigma({v}) for every
             candidate (e.g. computed in parallel on Spark). When absent,
-            the first pass evaluates them serially.
+            the first pass evaluates them with one ``gains`` call.
 
     Ties break toward the smaller node id, matching ``greedy``.
     """
-    cand = sorted(int(c) for c in candidates)
+    cand = distinct_candidates(candidates)
     if k <= 0 or k > len(cand):
         raise ValueError(f"need 0 < k <= {len(cand)}")
+    gains = _gains_of(sigma)
     n_evals = 0
     # Heap entries: (-gain, node, round_valid_for). Initial gains are
     # relative to S = {} , i.e. fresh for selection round 1. Python's heap is
     # a min-heap, so gains are negated; the node id as the second key
     # gives deterministic smallest-id tie-breaking.
-    heap: list[tuple[float, int, int]] = []
     if initial_gains is not None:
         missing = [v for v in cand if v not in initial_gains]
         if missing:
             raise ValueError(f"initial_gains missing candidates, e.g. {missing[:3]}")
-        for v in cand:
-            heap.append((-float(initial_gains[v]), v, 1))
+        first = [initial_gains[v] for v in cand]
     else:
-        for v in cand:
-            g = sigma([v])
-            n_evals += 1
-            heap.append((-g, v, 1))
+        first = gains([], cand)
+        n_evals += len(cand)
+    heap = [(-float(g), v, 1) for v, g in zip(cand, first, strict=True)]
     heapq.heapify(heap)
 
     chosen: list[int] = []
@@ -89,7 +104,7 @@ def celf(
                 current += -neg_gain
                 values.append(current)
                 break
-            fresh = sigma(chosen + [v]) - current
+            fresh = float(gains(chosen, [v])[0]) - current
             n_evals += 1
             heapq.heappush(heap, (-fresh, v, round_no))
     return CELFResult(seeds=chosen, sigma_values=values, n_evals=n_evals)

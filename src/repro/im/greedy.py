@@ -20,15 +20,27 @@ class GreedyResult:
     n_evals: int
 
 
+def distinct_candidates(candidates: Sequence[int]) -> list[int]:
+    """Candidates as sorted ints; a repeated candidate raises ``ValueError``.
+
+    A repeat would be evaluated twice and could be picked twice.
+    """
+    cand = sorted(int(c) for c in candidates)
+    repeats = sorted({a for a, b in zip(cand, cand[1:]) if a == b})
+    if repeats:
+        raise ValueError(f"duplicate candidates, e.g. {repeats[:3]}")
+    return cand
+
+
 def greedy(
     sigma: Callable[[Sequence[int]], float], candidates: Sequence[int], k: int
 ) -> GreedyResult:
     """Select k seeds maximizing sigma greedily (ties -> smallest node id)."""
-    if k <= 0 or k > len(candidates):
-        raise ValueError(f"need 0 < k <= {len(candidates)}")
+    remaining = distinct_candidates(candidates)
+    if k <= 0 or k > len(remaining):
+        raise ValueError(f"need 0 < k <= {len(remaining)}")
     chosen: list[int] = []
     values: list[float] = []
-    remaining = sorted(int(c) for c in candidates)
     n_evals = 0
     current = 0.0
     for _ in range(k):

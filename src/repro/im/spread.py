@@ -10,7 +10,7 @@ select identical seed sets (asserted in tests).
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import pandas as pd
@@ -49,14 +49,28 @@ def estimate_spread(engine, seeds, trial_seeds) -> float:
     return float(engine.spread(seeds, trial_seeds))
 
 
-def make_sigma(engine, trial_seeds) -> Callable[[Sequence[int]], float]:
+class Sigma:
+    """sigma-hat(S) over one engine and one CRN trial block.
+
+    Calling it gives ``engine.spread(S, block)``; :meth:`gains` gives
+    sigma-hat(base + {c}) for many candidates in one ``engine.gains``
+    call, which ``celf`` uses for its first pass and lazy re-evaluations.
+    """
+
+    def __init__(self, engine, trial_seeds) -> None:
+        self.engine = engine
+        self.block = np.asarray(trial_seeds, np.int64)
+
+    def __call__(self, seed_set: Sequence[int]) -> float:
+        return self.engine.spread(seed_set, self.block)
+
+    def gains(self, base: Sequence[int], candidates: Sequence[int]) -> np.ndarray:
+        return self.engine.gains(base, candidates, self.block)
+
+
+def make_sigma(engine, trial_seeds) -> Sigma:
     """Bind an engine + CRN trial block into a sigma-hat(S) callable."""
-    block = np.asarray(trial_seeds, np.int64)
-
-    def sigma(seed_set: Sequence[int]) -> float:
-        return engine.spread(seed_set, block)
-
-    return sigma
+    return Sigma(engine, trial_seeds)
 
 
 _GAINS_SCHEMA = StructType(
@@ -83,14 +97,15 @@ def marginal_gains_spark(
     and it is embarrassingly parallel over candidates, so candidates are
     fanned out with ``mapInPandas`` (through the same fan-out helper as
     :func:`~repro.diffusion.spark_engine.run_trials_df`, so bad weights
-    raise before any job) while each worker runs the CSR kernel over the
-    shared CRN trial block. Returns (candidate, sigma_hat).
+    raise before any job) while each worker makes one ``CSREngine.gains``
+    call per batch over the shared CRN trial block. Returns
+    (candidate, sigma_hat).
     """
-    base = {int(b) for b in base_seeds}
+    base = [int(b) for b in base_seeds]
     trials = np.asarray(trial_seeds)
 
     def gains(engine, cands: list[int]) -> Iterator[pd.DataFrame]:
-        sigma_hat = [engine.spread(sorted(base | {c}), trials) for c in cands]
+        sigma_hat = engine.gains(base, cands, trials)
         yield pd.DataFrame({"candidate": cands, "sigma_hat": sigma_hat})
 
     return _FanOut(spark, csr, weights, model).map(candidates, gains, _GAINS_SCHEMA)

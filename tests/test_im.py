@@ -97,6 +97,10 @@ class TestGreedy:
         res = greedy(sigma, range(25), 5)
         assert len(set(res.seeds)) == 5
 
+    def test_duplicate_candidates_rejected(self):
+        with pytest.raises(ValueError, match=r"duplicate candidates, e.g. \[1\]"):
+            greedy(lambda s: float(len(set(s))), [1, 1, 2], 3)
+
 
 class TestCELF:
     def test_matches_greedy_exactly(self, setup):
@@ -132,6 +136,13 @@ class TestCELF:
         *_, sigma = setup
         with pytest.raises(ValueError):
             celf(sigma, range(5), 0)
+
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_duplicate_candidates_rejected(self, precomputed):
+        """A repeat would be picked twice and counted twice in n_evals."""
+        initial = {1: 1.0, 2: 1.0} if precomputed else None
+        with pytest.raises(ValueError, match=r"duplicate candidates, e.g. \[1\]"):
+            celf(lambda s: float(len(set(s))), [1, 1, 2], 3, initial_gains=initial)
 
     def test_k_one_picks_argmax(self, setup):
         csr, *_, sigma = setup

@@ -50,9 +50,12 @@ def test_spark_celf_backend_matches_local(spark, workload):
 
 
 def test_spark_trial_engine_as_sigma_backend(spark, workload):
-    """make_sigma works with the SparkTrialEngine (spread path)."""
+    """make_sigma works with the SparkTrialEngine (spread and gains paths)."""
     csr, w, block = workload
     spark_sigma = make_sigma(SparkTrialEngine(spark, csr, w), block[:20])
     local_sigma = make_sigma(make_engine("csr", csr, w), block[:20])
     for s in ([3], [3, 9]):
         assert spark_sigma(s) == pytest.approx(local_sigma(s))
+    assert spark_sigma.gains([3], [9, 3]).tolist() == pytest.approx(
+        local_sigma.gains([3], [9, 3]).tolist()
+    )

@@ -96,6 +96,14 @@ def test_compiled_kernel_in_use_when_compiler_present():
     assert csr_engine.KERNEL == "c"
 
 
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_kernel_compiles_without_warnings(tmp_path):
+    cmd = [*csr_engine._compiler(), *csr_engine._CFLAGS, "-Wall", "-Wextra", "-Werror",
+           "-o", str(tmp_path / "kernel.so"), str(csr_engine._SOURCE)]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 _BUILD_CHILD = """
 import json, sys, time
 time.sleep(max(0.0, float(sys.argv[1]) - time.time()))
