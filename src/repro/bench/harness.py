@@ -10,6 +10,7 @@ per simulation.
 """
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -69,12 +70,13 @@ def simple_benchmark(
         if kind == "spark":
             if spark is None:
                 raise ValueError("engines includes 'spark' but no session given")
-            eng = SparkTrialEngine(spark, csr, weights, model=model)
+            engine = SparkTrialEngine(spark, csr, weights, model=model)
         else:
-            eng = make_engine(kind, csr, weights, model=model)
-        t0 = time.perf_counter()
-        spread = eng.spread(seeds, block)
-        secs = time.perf_counter() - t0
+            engine = contextlib.nullcontext(make_engine(kind, csr, weights, model=model))
+        with engine as eng:  # a Spark engine releases its broadcast on exit
+            t0 = time.perf_counter()
+            spread = eng.spread(seeds, block)
+            secs = time.perf_counter() - t0
         out.append(
             BenchResult(
                 name=kind,

@@ -69,6 +69,17 @@ def validate_seeds(n: int, seeds) -> np.ndarray:
     return np.unique(s)
 
 
+def trial_keys(trial_seeds) -> np.ndarray:
+    """Trial seeds as contiguous uint64, masked to 64 bits as ``base_key`` does."""
+    if isinstance(trial_seeds, np.ndarray):
+        if trial_seeds.dtype.kind in "iu":
+            return np.ascontiguousarray(trial_seeds.ravel().astype(np.uint64, copy=False))
+        trial_seeds = trial_seeds.ravel().tolist()
+    # Python ints one by one: a list mixing negative and >= 2**63 seeds
+    # would otherwise be converted through float64.
+    return np.array([int(t) & ((1 << 64) - 1) for t in trial_seeds], np.uint64)
+
+
 def validate_weights(m: int, weights) -> np.ndarray:
     """Edge weights as a contiguous float64 ``(m,)`` array of probabilities.
 
@@ -115,7 +126,7 @@ class Engine:
     def run_many(self, seeds, trial_seeds) -> np.ndarray:
         """Activated-node counts, one per trial seed."""
         return np.array(
-            [self.run(seeds, int(t)).num_active for t in np.asarray(trial_seeds).tolist()],
+            [self.run(seeds, t).num_active for t in trial_keys(trial_seeds).tolist()],
             np.int64,
         )
 

@@ -15,6 +15,15 @@ Spark workers) never load a half-written library. ``KERNEL`` reports the
 kernel in use: ``"c"``, or ``"numpy"`` when the library cannot be built or
 loaded; only then a vectorized NumPy kernel flips the same coins instead,
 and one ``RuntimeWarning`` gives the reason.
+
+``run_many`` cuts its trial block into contiguous slices, one per CPU in
+the process's affinity mask (``os.sched_getaffinity``) and never more than
+there are trials, and runs each slice's compiled call on its own thread;
+ctypes releases the GIL for the call. Trials are independent and their
+coins counter-based, so the split changes no count. The threads live only
+for the call, so a process forked afterwards is safe. ``taskset`` or a
+cpuset lowers the thread count; there is no option for it. ``run``,
+``gains`` and the NumPy fallback stay on the calling thread.
 """
 from __future__ import annotations
 
@@ -28,11 +37,18 @@ import sysconfig
 import tempfile
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from repro.diffusion.common import DiffusionResult, Engine, validate_nodes, validate_seeds
+from repro.diffusion.common import (
+    DiffusionResult,
+    Engine,
+    trial_keys,
+    validate_nodes,
+    validate_seeds,
+)
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
     STREAM_LT_THRESHOLD,
@@ -104,15 +120,15 @@ _LIB = _load_kernel()
 KERNEL = "numpy" if _LIB is None else "c"
 
 
-def _trial_keys(trial_seeds) -> np.ndarray:
-    """Trial seeds as contiguous uint64, masked to 64 bits as ``base_key`` does."""
-    if isinstance(trial_seeds, np.ndarray):
-        if trial_seeds.dtype.kind in "iu":
-            return np.ascontiguousarray(trial_seeds.ravel().astype(np.uint64, copy=False))
-        trial_seeds = trial_seeds.ravel().tolist()
-    # Python ints one by one: a list mixing negative and >= 2**63 seeds
-    # would otherwise be converted through float64.
-    return np.array([int(t) & ((1 << 64) - 1) for t in trial_seeds], np.uint64)
+def _slices(n_trials: int) -> list[slice]:
+    """Contiguous, non-empty slices of a trial block, one per usable CPU.
+
+    The CPUs are those the process may run on (its affinity mask, so
+    ``taskset`` and cpusets lower the count), read on every call.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    k = min(n_trials, cpus or 1)
+    return [slice(i * n_trials // k, (i + 1) * n_trials // k) for i in range(k)]
 
 
 def _address(a: np.ndarray) -> ctypes.c_void_p:
@@ -172,7 +188,7 @@ class CSREngine(Engine):
     def run(self, seeds, trial_seed: int) -> DiffusionResult:
         """Run one trial; deterministic in ``trial_seed``."""
         seeds = validate_seeds(self.csr.n, seeds)
-        keys = _trial_keys([trial_seed])
+        keys = trial_keys([trial_seed])
         if _LIB is not None:
             act, t = self._kernel(seeds, keys, np.empty(1, np.int64))
         elif self.model == "lt":
@@ -185,17 +201,26 @@ class CSREngine(Engine):
     def run_many(self, seeds, trial_seeds) -> np.ndarray:
         """Activated-node counts for many trials, one per ``trial_seeds``.
 
-        The whole block runs in one kernel call. Coins are the per-trial
-        counter streams, so every trial's count is bit-identical to
-        ``run(seeds, trial_seeds[k]).num_active`` (asserted in tests).
+        The compiled kernel runs contiguous slices of the block
+        (``_slices``) on one thread each, started and joined within the
+        call; each slice has its own scratch and fills a disjoint part of
+        the result. Coins are the per-trial counter streams, so every
+        trial's count is bit-identical to ``run(seeds,
+        trial_seeds[k]).num_active`` however the block is split (asserted
+        in tests).
         """
         seeds = validate_seeds(self.csr.n, seeds)
-        keys = _trial_keys(trial_seeds)
+        keys = trial_keys(trial_seeds)
         counts = np.empty(keys.size, np.int64)
         if keys.size == 0:
             return counts
         if _LIB is not None:
-            self._kernel(seeds, keys, counts)
+            first, *rest = _slices(keys.size)
+            with ThreadPoolExecutor(max_workers=len(rest) or 1) as pool:
+                others = [pool.submit(self._kernel, seeds, keys[s], counts[s]) for s in rest]
+                self._kernel(seeds, keys[first], counts[first])
+                for done in others:
+                    done.result()
         elif self.model == "lt":
             counts[:] = [self._run_lt(seeds, int(k)).num_active for k in keys.tolist()]
         else:
@@ -207,8 +232,9 @@ class CSREngine(Engine):
     def _kernel(self, seeds, keys, counts) -> tuple[np.ndarray, int]:
         """One compiled call over ``keys``, filling ``counts``.
 
-        Returns the last trial's ``(n,)`` int32 activation times and its
-        number of iterations.
+        The scratch arrays are the call's own, so calls may run
+        concurrently on disjoint ``counts``. Returns the last trial's
+        ``(n,)`` int32 activation times and its number of iterations.
         """
         n = self.csr.n
         act = np.full(n, -1, np.int32)
@@ -242,7 +268,7 @@ class CSREngine(Engine):
             return super().gains(base, candidates, trial_seeds)
         cands = validate_nodes(self.csr.n, candidates, "candidate")
         base = np.sort(validate_nodes(self.csr.n, base, "seed"))
-        keys = _trial_keys(trial_seeds)
+        keys = trial_keys(trial_seeds)
         totals = np.empty(cands.size, np.int64)
         with self._gains_lock:
             _LIB.ic_gains(

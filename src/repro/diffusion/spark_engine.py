@@ -170,17 +170,35 @@ class SparkTrialEngine:
     σ̂ inside CELF adds jobs but no broadcasts. ``run_many(seeds,
     trial_seeds)`` returns the per-trial summary as pandas; ``spread`` is
     the Monte-Carlo influence estimate and ``gains`` loops it over
-    candidates, as for the local engines.
+    candidates, as for the local engines. :meth:`close` (or leaving a
+    ``with`` block) destroys the broadcast.
     """
 
     def __init__(
         self, spark: SparkSession, csr: CSRGraph, weights: np.ndarray, *, model: str = "ic"
     ) -> None:
         self.csr = csr
-        self._fan_out = _FanOut(spark, csr, weights, model)
+        self._fan_out: _FanOut | None = _FanOut(spark, csr, weights, model)
+
+    def __enter__(self) -> "SparkTrialEngine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Destroy the graph's broadcast, freeing its copies on every Spark node.
+
+        Calling it again does nothing; a closed engine runs no more jobs.
+        """
+        if self._fan_out is not None:
+            self._fan_out.graph.destroy()
+            self._fan_out = None
 
     def run_many(self, seeds, trial_seeds) -> pd.DataFrame:
         """Collect (trial, num_active, num_iterations), ordered by trial."""
+        if self._fan_out is None:
+            raise ValueError("SparkTrialEngine is closed")
         body, schema = _trials_body(validate_seeds(self.csr.n, seeds), "summary")
         df = self._fan_out.map(trial_seeds, body, schema)
         return df.toPandas().sort_values("trial").reset_index(drop=True)

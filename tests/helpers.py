@@ -1,7 +1,13 @@
-"""Shared fixtures-in-code for the test suite: small standard graphs."""
+"""Shared fixtures-in-code for the test suite: small standard graphs, a
+hypothesis strategy for arbitrary small ones, and a call-counting stand-in
+for the compiled kernel."""
 from __future__ import annotations
 
+import threading
+from typing import NamedTuple
+
 import numpy as np
+from hypothesis import strategies as st
 
 from repro.graphs.csr import CSRGraph, build_csr
 from repro.graphs.generators import DirectedEdgeList
@@ -34,3 +40,49 @@ def from_edges(n: int, pairs) -> CSRGraph:
     """CSR from an explicit directed edge list."""
     arr = np.asarray(pairs, np.int64).reshape(-1, 2)
     return build_csr(DirectedEdgeList(n=n, edges=arr, name="custom"))
+
+
+# Weights 0 and 1 make IC edges never and always live; the rest draw a coin.
+WEIGHT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def small_graphs(draw):
+    """(csr, weights, model) with up to 12 nodes.
+
+    Edges are arbitrary node pairs, so self-loops, parallel edges, sinks
+    and isolated nodes all occur.
+    """
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=40))
+    w = draw(st.lists(WEIGHT, min_size=len(pairs), max_size=len(pairs)))
+    model = draw(st.sampled_from(["ic", "lt"]))
+    return from_edges(n, pairs), np.array(w, np.float64), model
+
+
+class Call(NamedTuple):
+    name: str
+    args: tuple
+    thread: int  # threading.get_ident() of the caller
+
+
+class CountingLib:
+    """Stand-in for ``csr_engine._LIB`` that records every kernel call.
+
+    Install it with ``monkeypatch.setattr(csr_engine, "_LIB", CountingLib(...))``;
+    list appends are atomic, so calls from several threads are all kept.
+    """
+
+    def __init__(self, lib) -> None:
+        self.lib = lib
+        self.calls: list[Call] = []
+
+    def __getattr__(self, name: str):
+        fn = getattr(self.lib, name)
+
+        def counted(*args):
+            self.calls.append(Call(name, args, threading.get_ident()))
+            return fn(*args)
+
+        return counted

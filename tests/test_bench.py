@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from pyspark.broadcast import Broadcast
 
 from repro.bench.harness import (
     BenchResult,
@@ -77,6 +78,19 @@ class TestSimpleBenchmark:
         assert {r.name for r in results} == {"csr", "spark"}
         spreads = {round(r.mean_spread, 9) for r in results}
         assert len(spreads) == 1
+
+    def test_spark_engine_released(self, spark, small_csr, monkeypatch):
+        destroyed = []
+        real = Broadcast.destroy
+
+        def destroy(self, blocking=False):
+            destroyed.append(self)
+            real(self, blocking)
+
+        monkeypatch.setattr(Broadcast, "destroy", destroy)
+        w = edge_weights(small_csr, "WC")
+        simple_benchmark(small_csr, w, n_seed_nodes=5, trials=4, engines=("spark",), spark=spark)
+        assert len(destroyed) == 1
 
     def test_spark_without_session_rejected(self, small_csr):
         w = edge_weights(small_csr, "WC")

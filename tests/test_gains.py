@@ -10,26 +10,7 @@ from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import edge_weights
 from repro.im import celf, make_sigma, trial_seed_block
 
-from tests.helpers import from_edges, star
-
-# Weights 0 and 1 make IC edges never and always live; the rest draw a coin.
-WEIGHT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-
-
-@st.composite
-def small_graphs(draw):
-    """(csr, weights, model) with up to 12 nodes.
-
-    Edges are arbitrary node pairs, so self-loops, parallel edges, sinks
-    and isolated nodes all occur.
-    """
-    n = draw(st.integers(1, 12))
-    node = st.integers(0, n - 1)
-    pairs = draw(st.lists(st.tuples(node, node), max_size=40))
-    w = draw(st.lists(WEIGHT, min_size=len(pairs), max_size=len(pairs)))
-    model = draw(st.sampled_from(["ic", "lt"]))
-    return from_edges(n, pairs), np.array(w, np.float64), model
-
+from tests.helpers import CountingLib, small_graphs, star
 
 @settings(max_examples=150, deadline=None)
 @given(
@@ -69,30 +50,20 @@ def test_celf_same_through_gains_and_plain_sigma(graph, data, base_seed):
 @pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
 def test_celf_first_pass_is_one_compiled_call(monkeypatch):
     """n candidates cost one ic_gains call; each lazy re-evaluation one more."""
-    calls = []
-
-    class Counting:
-        def __init__(self, lib):
-            self.lib = lib
-
-        def __getattr__(self, name):
-            fn = getattr(self.lib, name)
-
-            def counted(*args):
-                calls.append((name, args[4]))  # args[4]: number of seeds or candidates
-                return fn(*args)
-
-            return counted
-
-    monkeypatch.setattr(csr_engine, "_LIB", Counting(csr_engine._LIB))
+    lib = CountingLib(csr_engine._LIB)
+    monkeypatch.setattr(csr_engine, "_LIB", lib)
     csr = build_csr(erdos_renyi(120, 0.05, seed=5))
     sigma = make_sigma(CSREngine(csr, edge_weights(csr, "WC", seed=6)), trial_seed_block(2, 30))
 
-    assert celf(sigma, range(csr.n), 1).n_evals == csr.n
-    assert calls == [("ic_gains", csr.n)]
+    def sizes():  # args[4]: number of seeds or candidates
+        return [(call.name, call.args[4]) for call in lib.calls]
 
-    calls.clear()
+    assert celf(sigma, range(csr.n), 1).n_evals == csr.n
+    assert sizes() == [("ic_gains", csr.n)]
+
+    lib.calls.clear()
     res = celf(sigma, range(csr.n), 4)
+    calls = sizes()
     gains = [size for name, size in calls if name == "ic_gains"]
     assert gains == [csr.n] + [1] * (res.n_evals - csr.n)
     # R(S) is marked once per selection round after the first, not per evaluation.

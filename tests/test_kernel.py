@@ -140,6 +140,78 @@ def test_concurrent_first_builds_agree(tmp_path):
     assert _tree(REPO) == before
 
 
+_FORK_CHILD = """
+import os, signal, sys, threading, time
+import numpy as np
+from repro.diffusion import CSREngine
+from tests.test_kernel import BLOCK, SEEDS, _weighted_graph
+e = CSREngine(*_weighted_graph("ic"))
+want = e.run_many(SEEDS, BLOCK)
+# Concurrent threaded calls before the fork: threads kept between calls
+# would be idle now, and missing from the child.
+callers = [threading.Thread(target=e.run_many, args=(SEEDS, BLOCK)) for _ in range(4)]
+for t in callers:
+    t.start()
+for t in callers:
+    t.join()
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if np.array_equal(e.run_many(SEEDS, BLOCK), want) else 1)
+deadline = time.monotonic() + 30
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.05)
+os.kill(pid, signal.SIGKILL)
+os.waitpid(pid, 0)
+sys.exit("the forked child was still in run_many after 30 s")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_forked_child_finishes_run_many(tmp_path):
+    """No kernel thread outlives a call, so a child forked after one is not stuck."""
+    done = subprocess.run(
+        [sys.executable, "-c", _FORK_CHILD], env=_child_env(tmp_path / "cache"),
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+_ONE_CPU_CHILD = """
+import json, os, threading
+from repro.diffusion import CSREngine, csr_engine
+from tests.helpers import CountingLib
+from tests.test_kernel import BLOCK, SEEDS, _weighted_graph
+lib = csr_engine._LIB = CountingLib(csr_engine._LIB)
+counts = {m: CSREngine(*_weighted_graph(m), model=m).run_many(SEEDS, BLOCK).tolist()
+          for m in ("ic", "lt")}
+print(json.dumps({
+    "cpus": len(os.sched_getaffinity(0)),
+    "calls": [[call.name, call.thread == threading.get_ident()] for call in lib.calls],
+    "counts": counts,
+}))
+"""
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+@pytest.mark.skipif(shutil.which("taskset") is None, reason="no taskset on PATH")
+def test_one_cpu_runs_each_block_in_one_call(tmp_path):
+    """Under ``taskset`` to one CPU, each block is one call on the caller's thread."""
+    cpu = str(min(os.sched_getaffinity(0)))
+    done = subprocess.run(
+        ["taskset", "-c", cpu, sys.executable, "-c", _ONE_CPU_CHILD],
+        env=_child_env(tmp_path / "cache"), cwd=tmp_path,
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    got = json.loads(done.stdout)
+    assert got["cpus"] == 1
+    assert got["calls"] == [["ic_many", True], ["lt_many", True]]
+    for model in ("ic", "lt"):
+        assert got["counts"][model] == kernel_outputs(model)["counts"].tolist(), model
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5, np.inf])
     @pytest.mark.parametrize("model", ["ic", "lt"])

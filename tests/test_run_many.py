@@ -1,8 +1,20 @@
 """Tests for the CSR engine's multi-trial kernel (run_many) and the batched RNG."""
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.diffusion import make_engine
+from repro.diffusion import (
+    CSREngine,
+    NDlibLikeEngine,
+    PurePythonEngine,
+    csr_engine,
+    make_engine,
+)
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
     trial_bases,
@@ -14,12 +26,16 @@ from repro.graphs.generators import erdos_renyi, random_regular
 from repro.graphs.weights import EWM_NAMES, edge_weights, normalize_for_lt
 from repro.im.spread import trial_seed_block
 
-from tests.helpers import line, star
+from tests.helpers import CountingLib, line, small_graphs, star
 
 GRAPHS = {
     "er": build_csr(erdos_renyi(150, 0.04, seed=1)),
     "rr": build_csr(random_regular(100, 5, seed=3)),
 }
+CPUS = len(os.sched_getaffinity(0))
+# Block lengths around the split points: none, one, and just under, just
+# over and well over one trial per CPU.
+SPLIT_LENGTHS = sorted({0, 1, CPUS - 1, CPUS + 1, 3 * CPUS + 1})
 
 
 class TestUniformsMixed:
@@ -111,3 +127,88 @@ def test_run_many_star_exact_distribution():
     counts = e.run_many([0], trial_seed_block(11, 2000))
     assert counts.min() >= 1 and counts.max() <= 21
     assert abs(counts.mean() - 11.0) < 0.35
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_engines_agree_on_mixed_sign_trial_seeds(model):
+    """Negative and >= 2**63 seeds in one list must not pass through float64."""
+    csr = build_csr(random_regular(60, 4, seed=1))
+    w = edge_weights(csr, "UR", seed=3)
+    if model == "lt":
+        w = normalize_for_lt(csr, w)
+    block = [-1, 2**63 + 5, 7, -(2**63), 2**64 - 1]
+    want = [PurePythonEngine(csr, w, model=model).run([0], t).num_active for t in block]
+    for engine in (CSREngine, PurePythonEngine, NDlibLikeEngine):
+        assert engine(csr, w, model=model).run_many([0], block).tolist() == want, engine
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph=small_graphs(), data=st.data(), length=st.sampled_from(SPLIT_LENGTHS))
+def test_split_block_equals_per_trial_runs(graph, data, length):
+    """However the block is cut, each count is that trial's own run."""
+    csr, w, model = graph
+    seeds = data.draw(st.lists(st.integers(0, csr.n - 1), min_size=1), label="seeds")
+    trials = data.draw(
+        st.lists(st.integers(-(2**63), 2**64 - 1), min_size=length, max_size=length),
+        label="trials",
+    )
+    e = CSREngine(csr, w, model=model)
+    got = e.run_many(seeds, trials)
+    assert got.dtype == np.int64 and got.shape == (length,)
+    assert got.tolist() == [e.run(seeds, t).num_active for t in trials]
+    assert got.tolist() == PurePythonEngine(csr, w, model=model).run_many(seeds, trials).tolist()
+
+
+def _engine(model):
+    csr = GRAPHS["er"]
+    w = edge_weights(csr, "WC", seed=2)
+    return CSREngine(csr, normalize_for_lt(csr, w) if model == "lt" else w, model=model)
+
+
+@pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
+@pytest.mark.parametrize("model", ["ic", "lt"])
+@pytest.mark.parametrize("length", sorted({1, CPUS - 1, CPUS, CPUS + 1, 3 * CPUS + 1} - {0}))
+def test_block_runs_as_one_call_per_cpu(monkeypatch, model, length):
+    """min(T, cpus) kernel calls over contiguous slices; the caller's thread runs one."""
+    lib = CountingLib(csr_engine._LIB)
+    monkeypatch.setattr(csr_engine, "_LIB", lib)
+    counts = _engine(model).run_many([0, 3], trial_seed_block(12, length))
+    calls = sorted(lib.calls, key=lambda call: call.args[10])  # by counts address
+    assert {call.name for call in calls} == {f"{model}_many"}
+    assert len(calls) == min(length, CPUS)
+    assert [call.thread for call in calls].count(threading.get_ident()) == 1
+    sizes = [call.args[6] for call in calls]
+    assert sum(sizes) == length and max(sizes) - min(sizes) <= 1
+    # Each slice's trials and counts start where the previous slice's end.
+    trials_at, counts_at = calls[0].args[5], counts.ctypes.data
+    for call, size in zip(calls, sizes):
+        assert (call.args[5], call.args[10]) == (trials_at, counts_at)
+        trials_at, counts_at = trials_at + 8 * size, counts_at + 8 * size
+
+
+def test_concurrent_callers_get_serial_results():
+    """Four Python threads sharing two engines, each call starting its own threads."""
+    engines = {m: _engine(m) for m in ("ic", "lt")}
+    block = trial_seed_block(13, 3 * CPUS + 1)
+    want = {m: np.array([e.run([0, 3], t).num_active for t in block.tolist()])
+            for m, e in engines.items()}
+    got = {}
+
+    def caller(i):
+        got[i] = [(m, engines[m].run_many([0, 3], block)) for m in ("ic", "lt") * 10]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(got) == [0, 1, 2, 3]
+    for results in got.values():
+        for model, counts in results:
+            assert np.array_equal(counts, want[model]), model

@@ -1,6 +1,7 @@
 """Spark trial fan-out tests (S9): bit-equality with local engines."""
 import numpy as np
 import pytest
+from pyspark.broadcast import Broadcast
 
 from repro.diffusion import make_engine
 from repro.diffusion.spark_engine import SparkTrialEngine, run_trials_df
@@ -140,6 +141,33 @@ def test_engine_broadcasts_its_graph_once(spark, workload, monkeypatch):
     for _ in range(5):
         eng.spread(seeds, block[:4])
     assert len(made) == 1
+
+
+def test_engine_close_destroys_its_broadcast(spark, workload, monkeypatch):
+    csr, w, seeds, block = workload
+    sc = spark.sparkContext
+    made, destroyed = [], []
+    real_broadcast, real_destroy = sc.broadcast, Broadcast.destroy
+
+    def broadcast(value):
+        made.append(real_broadcast(value))
+        return made[-1]
+
+    def destroy(self, blocking=False):
+        destroyed.append(self)
+        real_destroy(self, blocking)
+
+    monkeypatch.setattr(sc, "broadcast", broadcast)
+    monkeypatch.setattr(Broadcast, "destroy", destroy)
+    with SparkTrialEngine(spark, csr, w) as eng:
+        for _ in range(3):
+            eng.spread(seeds, block[:4])
+        assert destroyed == []
+    assert len(made) == 1 and destroyed == made
+    eng.close()  # a second close destroys nothing
+    assert len(destroyed) == 1
+    with pytest.raises(ValueError, match="closed"):
+        eng.spread(seeds, block[:4])
 
 
 def test_empty_trial_block_gives_empty_frame(spark, workload):
