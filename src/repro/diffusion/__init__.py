@@ -5,8 +5,8 @@ Four engine families share one deterministic counter-based coin stream
 trial_seed)`` they produce *identical* activated sets:
 
 * :mod:`repro.diffusion.csr_engine` — compiled C frontier BFS over CSR
-  (loaded with ctypes, NumPy fallback); the analog of CyNetDiff's Cython
-  kernel.
+  (loaded with ctypes; the pure-Python loop runs when no C compiler is
+  available); the analog of CyNetDiff's Cython kernel.
 * :mod:`repro.diffusion.pure_python` — frontier BFS in interpreted Python
   (the paper's hand-written baseline).
 * :mod:`repro.diffusion.ndlib_like` — NDlib-style full node scan per time

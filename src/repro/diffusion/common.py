@@ -70,14 +70,22 @@ def validate_seeds(n: int, seeds) -> np.ndarray:
 
 
 def trial_keys(trial_seeds) -> np.ndarray:
-    """Trial seeds as contiguous uint64, masked to 64 bits as ``base_key`` does."""
+    """Trial seeds as contiguous uint64, masked to 64 bits as ``base_key`` does.
+
+    Non-integer seeds raise ``ValueError``: 1.5 and True would both run trial 1.
+    """
     if isinstance(trial_seeds, np.ndarray):
         if trial_seeds.dtype.kind in "iu":
             return np.ascontiguousarray(trial_seeds.ravel().astype(np.uint64, copy=False))
         trial_seeds = trial_seeds.ravel().tolist()
     # Python ints one by one: a list mixing negative and >= 2**63 seeds
     # would otherwise be converted through float64.
-    return np.array([int(t) & ((1 << 64) - 1) for t in trial_seeds], np.uint64)
+    keys = []
+    for t in trial_seeds:
+        if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
+            raise ValueError(f"trial seeds must be integers, got {t!r}")
+        keys.append(int(t) & ((1 << 64) - 1))
+    return np.array(keys, np.uint64)
 
 
 def validate_weights(m: int, weights) -> np.ndarray:

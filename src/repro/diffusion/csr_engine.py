@@ -12,9 +12,9 @@ The library is built on first import with the interpreter's C compiler
 source, compiler and flags. Each build writes a private temporary file and
 publishes it with ``os.replace``, so concurrent importers (for example
 Spark workers) never load a half-written library. ``KERNEL`` reports the
-kernel in use: ``"c"``, or ``"numpy"`` when the library cannot be built or
-loaded; only then a vectorized NumPy kernel flips the same coins instead,
-and one ``RuntimeWarning`` gives the reason.
+kernel in use: ``"c"``, or ``"python"`` when the library cannot be built
+or loaded; only then ``run`` and ``run_many`` delegate to the bit-identical
+``PurePythonEngine`` loop, and one ``RuntimeWarning`` gives the reason.
 
 ``run_many`` cuts its trial block into contiguous slices, one per CPU in
 the process's affinity mask (``os.sched_getaffinity``) and never more than
@@ -23,7 +23,7 @@ ctypes releases the GIL for the call. Trials are independent and their
 coins counter-based, so the split changes no count. The threads live only
 for the call, so a process forked afterwards is safe. ``taskset`` or a
 cpuset lowers the thread count; there is no option for it. ``run``,
-``gains`` and the NumPy fallback stay on the calling thread.
+``gains`` and the interpreted loop stay on the calling thread.
 """
 from __future__ import annotations
 
@@ -49,18 +49,14 @@ from repro.diffusion.common import (
     validate_nodes,
     validate_seeds,
 )
-from repro.diffusion.rng import (
-    STREAM_IC_COIN,
-    STREAM_LT_THRESHOLD,
-    trial_bases,
-    uniforms,
-    uniforms_mixed,
-)
+from repro.diffusion.pure_python import PurePythonEngine
+from repro.diffusion.rng import STREAM_IC_COIN, STREAM_LT_THRESHOLD
+# Unused here, but perfbench/tracing.py patches these names on this module.
+from repro.diffusion.rng import trial_bases, uniforms, uniforms_mixed  # noqa: F401
 from repro.graphs.csr import CSRGraph
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CFLAGS = ("-O2", "-fPIC", "-shared")
-_FALLBACK_CHUNK = 64  # trials per batched BFS in the NumPy fallback
 
 
 def _compiler() -> list[str]:
@@ -100,7 +96,7 @@ def _load_kernel() -> ctypes.CDLL | None:
     except (OSError, ValueError, subprocess.SubprocessError) as exc:
         reason = (getattr(exc, "stderr", None) or str(exc)).strip()
         warnings.warn(
-            f"compiled CSR kernel unavailable ({reason}); using the NumPy fallback",
+            f"compiled CSR kernel unavailable ({reason}); using the interpreted loop",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -117,7 +113,7 @@ def _load_kernel() -> ctypes.CDLL | None:
 
 
 _LIB = _load_kernel()
-KERNEL = "numpy" if _LIB is None else "c"
+KERNEL = "python" if _LIB is None else "c"
 
 
 def _slices(n_trials: int) -> list[slice]:
@@ -134,25 +130,6 @@ def _slices(n_trials: int) -> list[slice]:
 def _address(a: np.ndarray) -> ctypes.c_void_p:
     """Address of ``a``'s data; the caller keeps ``a`` alive while it is used."""
     return ctypes.c_void_p(a.ctypes.data)
-
-
-def _gather_out_edges(csr: CSRGraph, frontier: np.ndarray) -> np.ndarray:
-    """Edge ids of all out-edges of ``frontier``, as one flat int64 array.
-
-    Vectorized ragged gather: for frontier nodes with CSR ranges
-    [s_i, e_i), produce the concatenation of arange(s_i, e_i) without a
-    Python-level loop.
-    """
-    starts = csr.indptr[frontier]
-    counts = csr.indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64)
-    # position within the concatenated output, minus the cumulative offset
-    # of each node's block, plus that node's CSR start.
-    offsets = np.zeros(len(counts), np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    return np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + np.repeat(starts, counts)
 
 
 class CSREngine(Engine):
@@ -184,18 +161,15 @@ class CSREngine(Engine):
         self._seen, self._queue = np.zeros(csr.n, np.uint8), np.empty(csr.n, np.int64)
         self._seen_at, self._queue_at = _address(self._seen), _address(self._queue)
         self._last_reach = None
+        if _LIB is None:  # run and run_many delegate to the interpreted loop
+            self._interpreted = PurePythonEngine(csr, self.weights, model=model)
 
     def run(self, seeds, trial_seed: int) -> DiffusionResult:
         """Run one trial; deterministic in ``trial_seed``."""
+        if _LIB is None:
+            return self._interpreted.run(seeds, trial_seed)
         seeds = validate_seeds(self.csr.n, seeds)
-        keys = trial_keys([trial_seed])
-        if _LIB is not None:
-            act, t = self._kernel(seeds, keys, np.empty(1, np.int64))
-        elif self.model == "lt":
-            return self._run_lt(seeds, int(keys[0]))
-        else:
-            acts, t = self._run_ic_batch(seeds, keys)
-            act = acts[0]
+        act, t = self._kernel(seeds, trial_keys([trial_seed]), np.empty(1, np.int64))
         return DiffusionResult(activation_time=act, num_iterations=t)
 
     def run_many(self, seeds, trial_seeds) -> np.ndarray:
@@ -209,24 +183,19 @@ class CSREngine(Engine):
         trial_seeds[k]).num_active`` however the block is split (asserted
         in tests).
         """
+        if _LIB is None:
+            return self._interpreted.run_many(seeds, trial_seeds)
         seeds = validate_seeds(self.csr.n, seeds)
         keys = trial_keys(trial_seeds)
         counts = np.empty(keys.size, np.int64)
         if keys.size == 0:
             return counts
-        if _LIB is not None:
-            first, *rest = _slices(keys.size)
-            with ThreadPoolExecutor(max_workers=len(rest) or 1) as pool:
-                others = [pool.submit(self._kernel, seeds, keys[s], counts[s]) for s in rest]
-                self._kernel(seeds, keys[first], counts[first])
-                for done in others:
-                    done.result()
-        elif self.model == "lt":
-            counts[:] = [self._run_lt(seeds, int(k)).num_active for k in keys.tolist()]
-        else:
-            for lo in range(0, keys.size, _FALLBACK_CHUNK):
-                act, _ = self._run_ic_batch(seeds, keys[lo : lo + _FALLBACK_CHUNK])
-                counts[lo : lo + len(act)] = (act >= 0).sum(axis=1)
+        first, *rest = _slices(keys.size)
+        with ThreadPoolExecutor(max_workers=len(rest) or 1) as pool:
+            others = [pool.submit(self._kernel, seeds, keys[s], counts[s]) for s in rest]
+            self._kernel(seeds, keys[first], counts[first])
+            for done in others:
+                done.result()
         return counts
 
     def _kernel(self, seeds, keys, counts) -> tuple[np.ndarray, int]:
@@ -260,9 +229,9 @@ class CSREngine(Engine):
         kept), and each candidate's search stops where it enters it. The
         counts are the same integers as ``run_many``'s, so the result
         equals ``spread`` bit for bit (while each candidate's total over
-        the trials stays below 2**53). LT and the NumPy fallback loop
-        ``spread``: an incremental LT closure would add incoming weights
-        in another order.
+        the trials stays below 2**53). LT, and both models when ``KERNEL``
+        is ``"python"``, take the base-class loop over ``spread``: an
+        incremental LT closure would add incoming weights in another order.
         """
         if self.model != "ic" or _LIB is None:
             return super().gains(base, candidates, trial_seeds)
@@ -299,67 +268,3 @@ class CSREngine(Engine):
             )
             self._last_reach = (tag, keys, reach, args)  # keeps the addressed arrays alive
         return self._last_reach[3]
-
-    def _run_ic_batch(self, seeds: np.ndarray, chunk) -> tuple[np.ndarray, int]:
-        """NumPy fallback: one IC BFS over (trial, node) pairs for a trial chunk.
-
-        Returns the ``(len(chunk), n)`` int32 activation times and the
-        last iteration that activated a node in any trial.
-        """
-        csr, w = self.csr, self.weights
-        n = csr.n
-        T = len(chunk)
-        bases = trial_bases(STREAM_IC_COIN, chunk)
-        # Flat activation state: cell trial*n + node >= 0 iff activated.
-        act = np.full(T * n, -1, np.int32)
-        f_trial = np.repeat(np.arange(T, dtype=np.int64), len(seeds))
-        f_node = np.tile(seeds, T)
-        act[f_trial * n + f_node] = 0
-        t = 0
-        while f_node.size:
-            eids = _gather_out_edges(csr, f_node)
-            if eids.size == 0:
-                break
-            pair_trial = np.repeat(f_trial, csr.indptr[f_node + 1] - csr.indptr[f_node])
-            succ = uniforms_mixed(bases[pair_trial], eids) < w[eids]
-            tgt_flat = pair_trial[succ] * n + csr.indices[eids[succ]]
-            tgt_flat = tgt_flat[act[tgt_flat] < 0]
-            if tgt_flat.size == 0:
-                break
-            newly = np.unique(tgt_flat)
-            t += 1
-            act[newly] = t
-            f_trial = newly // n
-            f_node = newly % n
-        return act.reshape(T, n), t
-
-    def _run_lt(self, seeds: np.ndarray, trial_seed: int) -> DiffusionResult:
-        """NumPy fallback: one LT trial."""
-        csr, w = self.csr, self.weights
-        act_time = np.full(csr.n, -1, np.int32)
-        act_time[seeds] = 0
-        # Push-based LT: when u activates we push w(u->v) into acc[v] once
-        # (each source activates at most once), then compare against the
-        # node's threshold. Thresholds are coin-stream uniforms keyed by
-        # node id, so every engine draws the same theta_v.
-        acc = np.zeros(csr.n, np.float64)
-        frontier, t = seeds, 0
-        while frontier.size:
-            eids = _gather_out_edges(csr, frontier)
-            if eids.size == 0:
-                break
-            targets_all = csr.indices[eids]
-            live = act_time[targets_all] < 0
-            eids, targets_all = eids[live], targets_all[live]
-            np.add.at(acc, targets_all, w[eids])
-            cand = np.unique(targets_all)
-            if cand.size == 0:
-                break
-            theta = uniforms(STREAM_LT_THRESHOLD, trial_seed, cand)
-            newly = cand[acc[cand] >= theta]
-            if newly.size == 0:
-                break
-            t += 1
-            act_time[newly] = t
-            frontier = newly
-        return DiffusionResult(activation_time=act_time, num_iterations=t)

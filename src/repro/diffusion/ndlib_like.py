@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.diffusion.common import DiffusionResult, Engine, validate_seeds
+from repro.diffusion.common import DiffusionResult, Engine, trial_keys, validate_seeds
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
     STREAM_LT_THRESHOLD,
@@ -48,18 +48,21 @@ class NDlibLikeEngine(Engine):
         self.n = csr.n
         # dict-of-dicts adjacency, as networkx stores graphs: outer dict
         # node -> {neighbor: eid}. Edge weights live in the per-run params
-        # dict (see _apply_configuration), as NDlib keeps them.
+        # dict (see _apply_configuration), as NDlib keeps them. Like
+        # NDlib's DiGraph it holds one edge per (u, v) pair, so a parallel
+        # edge is rejected rather than silently dropped.
         wl = self.weights.tolist()
         dsts = csr.indices.tolist()
         ptr = csr.indptr.tolist()
-        self.adj: dict[int, dict[int, int]] = {
-            u: {dsts[e]: e for e in range(ptr[u], ptr[u + 1])} for u in range(csr.n)
-        }
-        self._edge_weights = {
-            (u, dsts[e]): wl[e]
-            for u in range(csr.n)
-            for e in range(ptr[u], ptr[u + 1])
-        }
+        self.adj: dict[int, dict[int, int]] = {}
+        self._edge_weights: dict[tuple[int, int], float] = {}
+        for u in range(csr.n):
+            nbrs = self.adj[u] = {}
+            for e in range(ptr[u], ptr[u + 1]):
+                if dsts[e] in nbrs:
+                    raise ValueError(f"parallel edges are not supported: ({u}, {dsts[e]}) repeats")
+                nbrs[dsts[e]] = e
+                self._edge_weights[(u, dsts[e])] = wl[e]
 
     def _apply_configuration(self) -> dict:
         """NDlib ``set_initial_status``: rebuild nested param dicts.
@@ -81,6 +84,7 @@ class NDlibLikeEngine(Engine):
     def run(self, seeds, trial_seed: int) -> DiffusionResult:
         """Run one trial; same activated set as every other engine."""
         seeds = validate_seeds(self.n, seeds)
+        trial_seed = int(trial_keys([trial_seed])[0])
         params = self._apply_configuration()
         if self.model == "ic":
             return self._run_ic(seeds, trial_seed, params)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.diffusion.common import DiffusionResult, Engine, validate_seeds
+from repro.diffusion.common import DiffusionResult, Engine, trial_keys, validate_seeds
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
     STREAM_LT_THRESHOLD,
@@ -39,6 +39,7 @@ class PurePythonEngine(Engine):
     def run(self, seeds, trial_seed: int) -> DiffusionResult:
         """Run one trial; bit-identical to the CSR engine per trial_seed."""
         seeds = validate_seeds(self.n, seeds)
+        trial_seed = int(trial_keys([trial_seed])[0])
         if self.model == "ic":
             return self._run_ic(seeds, trial_seed)
         return self._run_lt(seeds, trial_seed)

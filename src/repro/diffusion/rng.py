@@ -1,6 +1,6 @@
 """Deterministic counter-based coin streams (S5 in DESIGN.md).
 
-Every engine — NumPy, pure-Python, NDlib-like, Spark — draws the *same*
+Every engine — compiled, pure-Python, NDlib-like, Spark — draws the *same*
 uniform for the same ``(stream, trial_seed, id)`` triple, where ``id`` is a
 CSR edge id (IC coins, LT live-edge picks) or a node id (LT thresholds).
 That turns "all engines implement the same model" into an exact, testable
@@ -13,7 +13,8 @@ The hash is splitmix64 (Steele et al.), applied twice: once to fold
 are the standard 53-bit mantissa construction ``(x >> 11) * 2**-53`` in
 ``[0, 1)``. The NumPy and pure-Python implementations are bit-identical
 (property-tested in ``tests/test_rng.py``); the compiled kernel
-(``_kernel.c``) repeats the same hash in C.
+(``_kernel.c``) repeats the same hash in C. ``trial_bases`` and
+``uniforms_mixed`` serve only the tests and the benchmark's ``rng`` layer.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ def uniforms(stream: int, trial_seed: int, ids: np.ndarray) -> np.ndarray:
 
 
 def trial_bases(stream: int, trial_seeds) -> np.ndarray:
-    """Per-trial base keys as a uint64 array (for the fallback kernel's batching)."""
+    """Per-trial base keys as a uint64 array (used by tests and the benchmark)."""
     return np.asarray(
         [base_key(stream, int(t)) for t in trial_seeds], dtype=np.uint64
     )
@@ -73,8 +74,8 @@ def uniforms_mixed(bases: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Uniforms for (trial, id) pairs given per-pair base keys.
 
     ``uniforms_mixed(trial_bases(s, ts)[k], ids)`` is bit-identical to
-    ``uniforms(s, ts[k], ids)`` — the batched fallback kernel flips exactly
-    the coins the per-trial kernels flip.
+    ``uniforms(s, ts[k], ids)``, so one call can hash the coins of many
+    trials at once (used by tests and the benchmark).
     """
     with np.errstate(over="ignore"):
         h = _splitmix64_np(

@@ -207,3 +207,18 @@ def test_src_reads_only_kernel_build_environment():
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     names = set().union(*(_env_reads(p) for p in src.rglob("*.py")))
     assert names == {"CC", "XDG_CACHE_HOME"}
+
+
+def test_benchmark_tracer_patches_and_restores_csr_engine(small_csr):
+    """perfbench's tracer patches ``csr_engine`` names by name, so removing
+    one fails here, not only in the separately run perfbench suite."""
+    from perfbench.tracing import Tracer, instrument
+
+    from repro.diffusion import CSREngine, csr_engine
+
+    before = dict(vars(csr_engine)), dict(vars(CSREngine))
+    tracer = Tracer(True)
+    with instrument(tracer):
+        CSREngine(small_csr, edge_weights(small_csr, "WC")).run([0], 1)
+    assert (dict(vars(csr_engine)), dict(vars(CSREngine))) == before
+    assert [span[0] for span in tracer.spans] == ["kernel"]

@@ -1,4 +1,4 @@
-"""Tests for CSREngine's compiled kernel, its NumPy fallback and its loader."""
+"""Tests for CSREngine's compiled kernel, its interpreted fallback and its loader."""
 import json
 import os
 import shutil
@@ -21,7 +21,7 @@ from tests.helpers import from_edges, star
 REPO = Path(__file__).resolve().parents[1]
 HAVE_CC = shutil.which(csr_engine._compiler()[0]) is not None
 SEEDS = [0, 7, 23]
-BLOCK = trial_seed_block(21, 160)  # longer than two fallback chunks
+BLOCK = trial_seed_block(21, 160)
 
 
 def _weighted_graph(model: str):
@@ -63,7 +63,7 @@ np.savez(sys.argv[1], kernel=csr_engine.KERNEL, warnings=np.array(msgs, dtype=ob
 
 
 def test_fallback_matches_compiled_and_pure_python(tmp_path):
-    """A missing compiler selects the NumPy kernel, which gives the same bits."""
+    """A missing compiler selects the interpreted loop, which gives the same bits."""
     out = tmp_path / "fallback.npz"
     subprocess.run(
         [sys.executable, "-c", _FALLBACK_CHILD, str(out)],
@@ -71,9 +71,9 @@ def test_fallback_matches_compiled_and_pure_python(tmp_path):
         check=True, cwd=tmp_path, timeout=300,
     )
     got = np.load(out, allow_pickle=True)
-    assert str(got["kernel"]) == "numpy"
+    assert str(got["kernel"]) == "python"
     (msg,) = got["warnings"].tolist()
-    assert "/nonexistent/cc" in msg and "NumPy fallback" in msg
+    assert "/nonexistent/cc" in msg and "interpreted loop" in msg
     for model in ("ic", "lt"):
         ref = PurePythonEngine(*_weighted_graph(model), model=model)
         pure = [ref.run(SEEDS, int(t)) for t in BLOCK]
@@ -234,6 +234,21 @@ class TestInputValidation:
                 e.run(seeds, 1)
             with pytest.raises(ValueError, match="seeds must be integers"):
                 e.run_many(seeds, [1, 2])
+
+    @pytest.mark.parametrize(
+        "trials",
+        [[1.5], [True], np.array([1.0, 2.0]), np.array([True]), [np.float64(2.0)], ["3"]],
+        ids=["float", "bool", "float-array", "bool-array", "numpy-float", "str"],
+    )
+    def test_non_integer_trial_seeds_rejected(self, trials):
+        """``int()`` would run another trial: 1.5 and True both become trial 1."""
+        csr = star(4)
+        for engine in (CSREngine, PurePythonEngine, NDlibLikeEngine):
+            e = engine(csr, np.full(csr.m, 0.5))
+            with pytest.raises(ValueError, match="trial seeds must be integers"):
+                e.run([0], trials[0])
+            with pytest.raises(ValueError, match="trial seeds must be integers"):
+                e.run_many([0], [1, *trials])
 
     @pytest.mark.parametrize(
         "indptr, indices",

@@ -131,15 +131,21 @@ def test_run_many_star_exact_distribution():
 
 @pytest.mark.parametrize("model", ["ic", "lt"])
 def test_engines_agree_on_mixed_sign_trial_seeds(model):
-    """Negative and >= 2**63 seeds in one list must not pass through float64."""
+    """Negative and >= 2**63 seeds in one list must not pass through float64,
+    whether they are Python ints or NumPy scalars."""
     csr = build_csr(random_regular(60, 4, seed=1))
     w = edge_weights(csr, "UR", seed=3)
     if model == "lt":
         w = normalize_for_lt(csr, w)
     block = [-1, 2**63 + 5, 7, -(2**63), 2**64 - 1]
+    scalars = [np.int64(-1), np.uint64(2**63 + 5), np.int64(7), np.int64(-(2**63)),
+               np.uint64(2**64 - 1)]
     want = [PurePythonEngine(csr, w, model=model).run([0], t).num_active for t in block]
     for engine in (CSREngine, PurePythonEngine, NDlibLikeEngine):
-        assert engine(csr, w, model=model).run_many([0], block).tolist() == want, engine
+        e = engine(csr, w, model=model)
+        assert e.run_many([0], block).tolist() == want, engine
+        assert e.run_many([0], scalars).tolist() == want, engine
+        assert [e.run([0], t).num_active for t in scalars] == want, engine
 
 
 @settings(max_examples=80, deadline=None)
