@@ -14,11 +14,12 @@
  * its activation times (-1 for inactive nodes). Both return the number of
  * iterations of the last trial.
  *
- * ic_reach and ic_gains serve CELF under IC. A trial's live edges are
- * fixed by its coins, so its activated set is the set reachable from the
- * seeds over them, and R_k(S + {c}) = R_k(S) + R_k(c). ic_reach marks
- * R_k(S) once per trial; ic_gains then counts, per candidate, only the
- * nodes a search from c reaches outside R_k(S).
+ * IC has one traversal, ic_search, which ic_many and ic_gains share. The
+ * latter serves CELF: a trial's live edges are fixed by its coins, so its
+ * activated set is the set reachable from the seeds over them, and
+ * R_k(S + {c}) = R_k(S) + R_k(c). ic_many marks R_k(S) once per trial when
+ * given a reach matrix; ic_gains then counts, per candidate, only the nodes
+ * a search from c reaches outside R_k(S).
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -39,19 +40,21 @@ static int cmp_i64(const void *a, const void *b) {
     return (x > y) - (x < y);
 }
 
-/* Breadth-first search over live IC edges from queue[0..qlen), never
- * entering a node marked in skip or seen; marks what it reaches in seen,
- * appends it to queue and returns the new queue length. skip and seen may
- * be the same array. */
-static int64_t ic_search(const int64_t *indptr, const int64_t *indices, const double *w,
-                         uint64_t base, const uint8_t *skip, uint8_t *seen,
-                         int64_t *queue, int64_t qlen) {
+/* Breadth-first search over live IC edges from queue[0..qlen), whose act
+ * entries are set. It enters v when act[v] < 0 and v is not marked in skip
+ * (if given), sets act[v] = act[u] + 1, appends v to queue and returns the
+ * new queue length. The queue is FIFO, so round t's nodes are expanded in
+ * the order they were activated and the last node has the largest time. */
+static inline int64_t ic_search(const int64_t *indptr, const int64_t *indices,
+                                const double *w, uint64_t base, const uint8_t *skip,
+                                int32_t *act, int64_t *queue, int64_t qlen) {
     for (int64_t i = 0; i < qlen; i++) {
-        int64_t u = queue[i];
-        for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
+        int64_t u = queue[i], end = indptr[u + 1];
+        int32_t t = act[u] + 1;
+        for (int64_t e = indptr[u]; e < end; e++) {
             int64_t v = indices[e];
-            if (!skip[v] && !seen[v] && uniform(base, (uint64_t)e) < w[e]) {
-                seen[v] = 1;
+            if (act[v] < 0 && !(skip && skip[v]) && uniform(base, (uint64_t)e) < w[e]) {
+                act[v] = t;
                 queue[qlen++] = v;
             }
         }
@@ -59,80 +62,50 @@ static int64_t ic_search(const int64_t *indptr, const int64_t *indices, const do
     return qlen;
 }
 
+/* If reach is given (n_trials x n bytes, arriving zeroed), row k marks
+ * R_k(seeds). */
 int64_t ic_many(const int64_t *indptr, const int64_t *indices, const double *w,
                 const int64_t *seeds, int64_t n_seeds,
                 const uint64_t *trials, int64_t n_trials, uint64_t stream,
-                int32_t *act, int64_t *queue, int64_t *counts) {
+                int32_t *act, int64_t *queue, int64_t *counts,
+                uint8_t *reach, int64_t n) {
     int32_t t = 0;
     for (int64_t k = 0; k < n_trials; k++) {
-        uint64_t base = sm64(stream ^ sm64(trials[k]));
-        int64_t qlen = 0, lo = 0;
         for (int64_t i = 0; i < n_seeds; i++) {
             act[seeds[i]] = 0;
-            queue[qlen++] = seeds[i];
+            queue[i] = seeds[i];
         }
-        for (t = 0; lo < qlen; t++) {
-            int64_t hi = qlen;
-            for (int64_t i = lo; i < hi; i++) {
-                int64_t u = queue[i];
-                for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
-                    int64_t v = indices[e];
-                    if (act[v] < 0 && uniform(base, (uint64_t)e) < w[e]) {
-                        act[v] = t + 1;
-                        queue[qlen++] = v;
-                    }
-                }
-            }
-            if (qlen == hi) break;
-            lo = hi;
-        }
+        int64_t qlen = ic_search(indptr, indices, w, sm64(stream ^ sm64(trials[k])),
+                                 NULL, act, queue, n_seeds);
         counts[k] = qlen;
+        t = act[queue[qlen - 1]];
+        if (reach)
+            for (int64_t i = 0; i < qlen; i++) reach[k * n + queue[i]] = 1;
         if (k < n_trials - 1)
             for (int64_t i = 0; i < qlen; i++) act[queue[i]] = -1;
     }
     return t;
 }
 
-/* Marks R_k(seeds) in row k of reach (n_trials x n bytes, arriving zeroed)
- * and stores its size in counts[k]. */
-void ic_reach(const int64_t *indptr, const int64_t *indices, const double *w,
-              const int64_t *seeds, int64_t n_seeds,
-              const uint64_t *trials, int64_t n_trials, uint64_t stream,
-              uint8_t *reach, int64_t n, int64_t *queue, int64_t *counts) {
-    for (int64_t k = 0; k < n_trials; k++) {
-        uint8_t *row = reach + k * n;
-        int64_t qlen = 0;
-        for (int64_t i = 0; i < n_seeds; i++) {
-            if (!row[seeds[i]]) {
-                row[seeds[i]] = 1;
-                queue[qlen++] = seeds[i];
-            }
-        }
-        counts[k] = ic_search(indptr, indices, w, sm64(stream ^ sm64(trials[k])),
-                              row, row, queue, qlen);
-    }
-}
-
 /* totals[j] = sum over trials k of |R_k(S + {cands[j]})|, given row k of
  * R_k(S) at reach + k * stride (stride 0 with one zero row for S = {}) and
- * base_total = sum over k of |R_k(S)|. seen arrives zeroed and is left
- * zeroed. */
+ * base_total = sum over k of |R_k(S)|. act arrives all -1 and is left so. */
 void ic_gains(const int64_t *indptr, const int64_t *indices, const double *w,
               const int64_t *cands, int64_t n_cands,
               const uint64_t *trials, int64_t n_trials, uint64_t stream,
               const uint8_t *reach, int64_t stride, int64_t base_total,
-              uint8_t *seen, int64_t *queue, int64_t *totals) {
+              int32_t *act, int64_t *queue, int64_t *totals) {
     for (int64_t j = 0; j < n_cands; j++) {
         int64_t c = cands[j], total = base_total;
         for (int64_t k = 0; k < n_trials; k++) {
             const uint8_t *row = reach + k * stride;
             if (row[c]) continue;
-            seen[c] = 1;
+            act[c] = 0;
             queue[0] = c;
             int64_t qlen = ic_search(indptr, indices, w, sm64(stream ^ sm64(trials[k])),
-                                     row, seen, queue, 1);
+                                     row, act, queue, 1);
             total += qlen;
-            for (int64_t i = 0; i < qlen; i++) seen[queue[i]] = 0;
+            for (int64_t i = 0; i < qlen; i++) act[queue[i]] = -1;
         }
         totals[j] = total;
     }

@@ -42,19 +42,24 @@ class DiffusionResult:
         return np.cumsum(self.frontier_sizes())
 
 
-def validate_nodes(n: int, nodes, what: str = "node") -> np.ndarray:
-    """Node ids as int64, in the given order, range-checked.
+def integer_ids(nodes, what: str = "node") -> np.ndarray:
+    """Node ids as int64, in the given order.
 
     Float, bool and object ids raise ``ValueError``: casting them to int64
     would silently use other nodes (1.5 and True both become node 1).
-    ``what`` names the ids in the error messages.
+    ``what`` names the ids in the error message.
     """
     s = np.asarray(list(nodes)).ravel()
-    if s.size == 0:
-        return np.empty(0, np.int64)
-    if s.dtype.kind not in "iu":
+    if s.size and s.dtype.kind not in "iu":
         raise ValueError(f"{what}s must be integers, got dtype {s.dtype}")
-    s = s.astype(np.int64, copy=False)
+    return s.astype(np.int64, copy=False)
+
+
+def validate_nodes(n: int, nodes, what: str = "node") -> np.ndarray:
+    """``integer_ids``, range-checked against ``[0, n)``."""
+    s = integer_ids(nodes, what)
+    if s.size == 0:
+        return s
     ends = np.sort(s)[[0, -1]]  # cheaper than min() and max() on short inputs
     if ends[0] < 0 or ends[1] >= n:
         raise ValueError(f"{what} out of range [0, {n})")

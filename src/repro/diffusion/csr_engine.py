@@ -103,12 +103,11 @@ def _load_kernel() -> ctypes.CDLL | None:
         return None
     p, i64 = ctypes.c_void_p, ctypes.c_int64
     common = [p, p, p, p, i64, p, i64, ctypes.c_uint64, p, p, p]
-    lib.ic_many.argtypes = common
+    lib.ic_many.argtypes = common + [p, i64]
     lib.lt_many.argtypes = common + [p, p, p]
     lib.ic_many.restype = lib.lt_many.restype = i64
-    lib.ic_reach.argtypes = common[:8] + [p, i64, p, p]
     lib.ic_gains.argtypes = common[:8] + [p, i64, i64, p, p, p]
-    lib.ic_reach.restype = lib.ic_gains.restype = None
+    lib.ic_gains.restype = None
     return lib
 
 
@@ -155,10 +154,10 @@ class CSREngine(Engine):
         # ``ndarray.ctypes`` lookup costs microseconds, and CELF calls
         # ``gains`` thousands of times. ctypes refuses to pickle them.
         self._graph = [_address(a) for a in (ptr, dst, self.weights)]
-        # gains() scratch, used under a lock: a seen mask that every call
-        # leaves zeroed, a search queue, and the last base's reach.
+        # gains() scratch, used under a lock: activation times that every
+        # call leaves all -1, a search queue, and the last base's reach.
         self._gains_lock = threading.Lock()
-        self._seen, self._queue = np.zeros(csr.n, np.uint8), np.empty(csr.n, np.int64)
+        self._seen, self._queue = np.full(csr.n, -1, np.int32), np.empty(csr.n, np.int64)
         self._seen_at, self._queue_at = _address(self._seen), _address(self._queue)
         self._last_reach = None
         if _LIB is None:  # run and run_many delegate to the interpreted loop
@@ -198,12 +197,14 @@ class CSREngine(Engine):
                 done.result()
         return counts
 
-    def _kernel(self, seeds, keys, counts) -> tuple[np.ndarray, int]:
+    def _kernel(self, seeds, keys, counts, reach=None) -> tuple[np.ndarray, int]:
         """One compiled call over ``keys``, filling ``counts``.
 
-        The scratch arrays are the call's own, so calls may run
-        concurrently on disjoint ``counts``. Returns the last trial's
-        ``(n,)`` int32 activation times and its number of iterations.
+        Under IC, a ``(len(keys), n)`` uint8 ``reach`` of zeros gets row k
+        marked with trial k's activated nodes. The scratch arrays are the
+        call's own, so calls may run concurrently on disjoint ``counts``.
+        Returns the last trial's ``(n,)`` int32 activation times and its
+        number of iterations.
         """
         n = self.csr.n
         act = np.full(n, -1, np.int32)
@@ -211,7 +212,8 @@ class CSREngine(Engine):
         args = [*self._graph, seeds.ctypes.data, seeds.size, keys.ctypes.data, keys.size]
         state = [act.ctypes.data, queue.ctypes.data, counts.ctypes.data]
         if self.model == "ic":
-            return act, _LIB.ic_many(*args, STREAM_IC_COIN, *state)
+            marks = (None, 0) if reach is None else (reach.ctypes.data, n)
+            return act, _LIB.ic_many(*args, STREAM_IC_COIN, *state, *marks)
         acc = np.zeros(n, np.float64)
         lists = np.empty(2 * n, np.int64)  # touched nodes, this round's candidates
         return act, _LIB.lt_many(
@@ -223,20 +225,21 @@ class CSREngine(Engine):
         """``spread(base + {c}, trial_seeds)`` for each candidate ``c``, in order.
 
         Under IC with the compiled kernel, all candidates and trials run in
-        one call. Each trial's live edges are fixed by its coins, so
-        R_k(base + {c}) = R_k(base) + R_k(c): the reach R_k(base) is marked
-        once per distinct base (trials x n bytes; only the last base is
-        kept), and each candidate's search stops where it enters it. The
-        counts are the same integers as ``run_many``'s, so the result
-        equals ``spread`` bit for bit (while each candidate's total over
-        the trials stays below 2**53). LT, and both models when ``KERNEL``
-        is ``"python"``, take the base-class loop over ``spread``: an
-        incremental LT closure would add incoming weights in another order.
+        one ``ic_gains`` call. Each trial's live edges are fixed by its
+        coins, so R_k(base + {c}) = R_k(base) + R_k(c): the reach R_k(base)
+        is marked once per distinct base by an ``ic_many`` call (trials x n
+        bytes; only the last base is kept), and each candidate's search
+        stops where it enters it. The counts are the same integers as
+        ``run_many``'s, so the result equals ``spread`` bit for bit (while
+        each candidate's total over the trials stays below 2**53). LT, and
+        both models when ``KERNEL`` is ``"python"``, take the base-class
+        loop over ``spread``: an incremental LT closure would add incoming
+        weights in another order.
         """
         if self.model != "ic" or _LIB is None:
             return super().gains(base, candidates, trial_seeds)
         cands = validate_nodes(self.csr.n, candidates, "candidate")
-        base = np.sort(validate_nodes(self.csr.n, base, "seed"))
+        base = np.unique(validate_nodes(self.csr.n, base, "seed"))
         keys = trial_keys(trial_seeds)
         totals = np.empty(cands.size, np.int64)
         with self._gains_lock:
@@ -249,8 +252,9 @@ class CSREngine(Engine):
     def _reach(self, base: np.ndarray, keys: np.ndarray) -> tuple:
         """``ic_gains``'s trial and reach arguments for ``base`` over ``keys``.
 
-        The marks R_k(base) are rebuilt only when ``base`` or the trial
-        block differs from the last call's. Called under ``_gains_lock``.
+        The marks R_k(base) are rebuilt, by ``ic_many`` with a reach
+        matrix, only when ``base`` (unique and sorted) or the trial block
+        differs from the last call's. Called under ``_gains_lock``.
         """
         tag = (base.tobytes(), keys.tobytes())
         if self._last_reach is None or self._last_reach[0] != tag:
@@ -258,10 +262,7 @@ class CSREngine(Engine):
             reach = np.zeros((keys.size, n) if base.size else n, np.uint8)
             counts = np.zeros(keys.size, np.int64)
             if base.size:
-                _LIB.ic_reach(
-                    *self._graph, base.ctypes.data, base.size, keys.ctypes.data, keys.size,
-                    STREAM_IC_COIN, reach.ctypes.data, n, self._queue_at, counts.ctypes.data,
-                )
+                self._kernel(base, keys, counts, reach)
             args = (
                 _address(keys), keys.size, STREAM_IC_COIN,
                 _address(reach), n if base.size else 0, int(counts.sum()),

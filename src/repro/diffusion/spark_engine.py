@@ -38,7 +38,9 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import IntegerType, LongType, StructField, StructType
 
-from repro.diffusion.common import Engine, validate_model, validate_seeds, validate_weights
+from repro.diffusion.common import (
+    Engine, trial_keys, validate_model, validate_seeds, validate_weights,
+)
 from repro.diffusion.csr_engine import CSREngine
 from repro.diffusion.rng import STREAM_IC_COIN, STREAM_LT_PICK, uniforms
 from repro.graphs.csr import CSRGraph
@@ -65,12 +67,13 @@ class _FanOut:
 
     The constructor checks the weights and model on the driver, so bad
     input raises ``ValueError`` before any job runs, then ships the graph
-    with one ``SparkContext.broadcast``. :meth:`map` spreads int64 keys
-    over ``min(len(keys), defaultParallelism)`` partitions (one when there
-    are no keys: the key schema is explicit, so an empty block gives an
-    empty result); each partition builds one :class:`CSREngine` from the
-    broadcast and passes it, with each batch's keys, to ``body``, which
-    yields pandas frames of ``schema``.
+    with one ``SparkContext.broadcast``. :meth:`map` spreads an int64 key
+    array, which the caller validated on the driver, over ``min(len(keys),
+    defaultParallelism)`` partitions (one when there are no keys: the key
+    schema is explicit, so an empty block gives an empty result); each
+    partition builds one :class:`CSREngine` from the broadcast and passes
+    it, with each batch's keys, to ``body``, which yields pandas frames of
+    ``schema``.
     """
 
     def __init__(self, spark: SparkSession, csr: CSRGraph, weights, model: str) -> None:
@@ -82,7 +85,7 @@ class _FanOut:
 
     def map(
         self,
-        keys,
+        keys: np.ndarray,
         body: Callable[[CSREngine, list[int]], Iterator[pd.DataFrame]],
         schema: StructType,
     ) -> DataFrame:
@@ -94,7 +97,7 @@ class _FanOut:
             for batch in batches:
                 yield from body(engine, batch["key"].tolist())
 
-        keys = pd.DataFrame({"key": pd.Series([int(k) for k in keys], dtype="int64")})
+        keys = pd.DataFrame({"key": keys})
         num_part = max(1, min(len(keys), self.spark.sparkContext.defaultParallelism))
         return (
             self.spark.createDataFrame(keys, "key long")
@@ -153,13 +156,16 @@ def run_trials_df(
             ``"activations"`` -> one row per activated node
             (trial, node, time), the input to heatmap/timeseries analytics.
 
-    Bad weights, model, seeds or output raise ``ValueError`` here, before
-    any job. Returns a lazily-evaluated DataFrame holding one broadcast of
-    the graph; each partition instantiates one :class:`CSREngine` from it
-    and loops its trials.
+    Bad weights, model, seeds, trial seeds or output raise ``ValueError``
+    here, before any job. The ``trial`` column holds each trial seed as a
+    signed 64-bit integer (the caller's value when it fits). Returns a
+    lazily-evaluated DataFrame holding one broadcast of the graph; each
+    partition instantiates one :class:`CSREngine` from it and loops its
+    trials.
     """
     body, schema = _trials_body(validate_seeds(csr.n, seeds), output)
-    return _FanOut(spark, csr, weights, model).map(trial_seeds, body, schema)
+    trials = trial_keys(trial_seeds).view(np.int64)
+    return _FanOut(spark, csr, weights, model).map(trials, body, schema)
 
 
 class SparkTrialEngine:
@@ -200,7 +206,7 @@ class SparkTrialEngine:
         if self._fan_out is None:
             raise ValueError("SparkTrialEngine is closed")
         body, schema = _trials_body(validate_seeds(self.csr.n, seeds), "summary")
-        df = self._fan_out.map(trial_seeds, body, schema)
+        df = self._fan_out.map(trial_keys(trial_seeds).view(np.int64), body, schema)
         return df.toPandas().sort_values("trial").reset_index(drop=True)
 
     def spread(self, seeds, trial_seeds) -> float:

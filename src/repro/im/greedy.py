@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.diffusion.common import integer_ids
+
 
 @dataclass(frozen=True)
 class GreedyResult:
@@ -23,9 +25,11 @@ class GreedyResult:
 def distinct_candidates(candidates: Sequence[int]) -> list[int]:
     """Candidates as sorted ints; a repeated candidate raises ``ValueError``.
 
-    A repeat would be evaluated twice and could be picked twice.
+    A repeat would be evaluated twice and could be picked twice. Float and
+    bool ids raise ``ValueError`` too, as in ``integer_ids``: 0.5 and
+    True would silently stand for nodes 0 and 1.
     """
-    cand = sorted(int(c) for c in candidates)
+    cand = sorted(integer_ids(candidates, "candidate").tolist())
     repeats = sorted({a for a, b in zip(cand, cand[1:]) if a == b})
     if repeats:
         raise ValueError(f"duplicate candidates, e.g. {repeats[:3]}")

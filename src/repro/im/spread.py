@@ -17,6 +17,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
+from repro.diffusion.common import trial_keys, validate_nodes
 from repro.diffusion.rng import splitmix64_py
 from repro.diffusion.spark_engine import _FanOut
 from repro.graphs.csr import CSRGraph
@@ -55,11 +56,13 @@ class Sigma:
     Calling it gives ``engine.spread(S, block)``; :meth:`gains` gives
     sigma-hat(base + {c}) for many candidates in one ``engine.gains``
     call, which ``celf`` uses for its first pass and lazy re-evaluations.
+    The block is stored as ``trial_keys``, so non-integer trial seeds
+    raise ``ValueError`` here and seeds of 2**63 and above are kept.
     """
 
     def __init__(self, engine, trial_seeds) -> None:
         self.engine = engine
-        self.block = np.asarray(trial_seeds, np.int64)
+        self.block = trial_keys(trial_seeds)
 
     def __call__(self, seed_set: Sequence[int]) -> float:
         return self.engine.spread(seed_set, self.block)
@@ -99,13 +102,15 @@ def marginal_gains_spark(
     :func:`~repro.diffusion.spark_engine.run_trials_df`, so bad weights
     raise before any job) while each worker makes one ``CSREngine.gains``
     call per batch over the shared CRN trial block. Returns
-    (candidate, sigma_hat).
+    (candidate, sigma_hat). Non-integer or out-of-range ids raise
+    ``ValueError`` here, before any job.
     """
-    base = [int(b) for b in base_seeds]
-    trials = np.asarray(trial_seeds)
+    cands = validate_nodes(csr.n, candidates, "candidate")
+    base = validate_nodes(csr.n, base_seeds, "seed")
+    trials = trial_keys(trial_seeds)
 
-    def gains(engine, cands: list[int]) -> Iterator[pd.DataFrame]:
-        sigma_hat = engine.gains(base, cands, trials)
-        yield pd.DataFrame({"candidate": cands, "sigma_hat": sigma_hat})
+    def gains(engine, batch: list[int]) -> Iterator[pd.DataFrame]:
+        sigma_hat = engine.gains(base, batch, trials)
+        yield pd.DataFrame({"candidate": batch, "sigma_hat": sigma_hat})
 
-    return _FanOut(spark, csr, weights, model).map(candidates, gains, _GAINS_SCHEMA)
+    return _FanOut(spark, csr, weights, model).map(cands, gains, _GAINS_SCHEMA)

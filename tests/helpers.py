@@ -43,7 +43,12 @@ def from_edges(n: int, pairs) -> CSRGraph:
 
 
 # Weights 0 and 1 make IC edges never and always live; the rest draw a coin.
-WEIGHT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# The subnormal 5e-324 and 1 - 2**-53 sit next to the coin's bounds: a
+# uniform (a multiple of 2**-53 in [0, 1)) is below the first only when
+# it is 0, and below the second unless it is 1 - 2**-53 itself.
+WEIGHT = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, float(np.nextafter(1.0, 0.0))]), st.floats(0.0, 1.0)
+)
 
 
 @st.composite

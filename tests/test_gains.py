@@ -66,9 +66,11 @@ def test_celf_first_pass_is_one_compiled_call(monkeypatch):
     calls = sizes()
     gains = [size for name, size in calls if name == "ic_gains"]
     assert gains == [csr.n] + [1] * (res.n_evals - csr.n)
-    # R(S) is marked once per selection round after the first, not per evaluation.
-    assert [size for name, size in calls if name == "ic_reach"] == [1, 2, 3]
-    assert {name for name, _ in calls} == {"ic_gains", "ic_reach"}
+    # R(S) is marked once per selection round after the first, not per evaluation,
+    # by ic_many with a reach matrix (args[11]).
+    marks = [(call.args[4], bool(call.args[11])) for call in lib.calls if call.name == "ic_many"]
+    assert marks == [(1, True), (2, True), (3, True)]
+    assert {name for name, _ in calls} == {"ic_gains", "ic_many"}
 
 
 @pytest.mark.parametrize("model", ["ic", "lt"])

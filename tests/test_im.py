@@ -66,6 +66,24 @@ class TestEstimateSpread:
         assert estimate_spread(engine, [0], trial_seed_block(0, 10)) == 5.0
 
 
+class TestSigma:
+    @pytest.mark.parametrize(
+        "trials", [[1.5, 2.7], [True], np.array([1.0, 2.0])], ids=["float", "bool", "float-array"]
+    )
+    def test_non_integer_trial_seeds_rejected(self, setup, trials):
+        """[1.5, 2.7] used to run the block [1, 2]."""
+        *_, engine, _ = setup
+        with pytest.raises(ValueError, match="trial seeds must be integers"):
+            make_sigma(engine, trials)
+
+    def test_trial_seeds_above_int64_accepted(self, setup):
+        *_, engine, _ = setup
+        block = [2**63 + 5, -3]
+        sigma = make_sigma(engine, block)
+        assert sigma([0]) == engine.spread([0], block)
+        assert sigma.gains([0], [1]).tolist() == [engine.spread([0, 1], block)]
+
+
 class TestGreedy:
     def test_star_hub_wins(self):
         csr = star(10)
@@ -100,6 +118,13 @@ class TestGreedy:
     def test_duplicate_candidates_rejected(self):
         with pytest.raises(ValueError, match=r"duplicate candidates, e.g. \[1\]"):
             greedy(lambda s: float(len(set(s))), [1, 1, 2], 3)
+
+    @pytest.mark.parametrize("cands", [[True, 2.9], [0.5, 1.7], [True, False]])
+    def test_non_integer_candidates_rejected(self, setup, cands):
+        """``int()`` would pick other nodes: [True, 2.9] used to return [1, 2]."""
+        *_, sigma = setup
+        with pytest.raises(ValueError, match="candidates must be integers"):
+            greedy(sigma, cands, 1)
 
 
 class TestCELF:
@@ -143,6 +168,15 @@ class TestCELF:
         initial = {1: 1.0, 2: 1.0} if precomputed else None
         with pytest.raises(ValueError, match=r"duplicate candidates, e.g. \[1\]"):
             celf(lambda s: float(len(set(s))), [1, 1, 2], 3, initial_gains=initial)
+
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_non_integer_candidates_rejected(self, setup, precomputed):
+        """[0.5, 1.7] used to select node 0."""
+        *_, sigma = setup
+        initial = {0: 1.0, 1: 1.0} if precomputed else None
+        for cands in ([0.5, 1.7], [True], np.array([0.0, 1.0])):
+            with pytest.raises(ValueError, match="candidates must be integers"):
+                celf(sigma, cands, 1, initial_gains=initial)
 
     def test_k_one_picks_argmax(self, setup):
         csr, *_, sigma = setup

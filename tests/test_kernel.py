@@ -1,6 +1,7 @@
 """Tests for CSREngine's compiled kernel, its interpreted fallback and its loader."""
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -210,6 +211,24 @@ def test_one_cpu_runs_each_block_in_one_call(tmp_path):
     assert got["calls"] == [["ic_many", True], ["lt_many", True]]
     for model in ("ic", "lt"):
         assert got["counts"][model] == kernel_outputs(model)["counts"].tolist(), model
+
+
+@pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
+def test_kernel_exports_match_ctypes_declarations():
+    """Each export of ``_kernel.c`` has ctypes argtypes, and no stale name is called.
+
+    Without argtypes, ctypes would pass Python ints as C ``int`` and
+    truncate 64-bit arguments.
+    """
+    source = csr_engine._SOURCE.read_text()
+    exports = set(re.findall(r"^(?!static\b)\w[\w \t*]*?\b(\w+)\(", source, re.M))
+    assert exports, "no exported function parsed"
+    for name in sorted(exports):
+        assert getattr(csr_engine._LIB, name).argtypes is not None, name
+    python = Path(csr_engine.__file__).read_text()
+    used = set(re.findall(r"\b_LIB\.(\w+)", python))
+    used |= set(re.findall(r"\blib\.(\w+)\.(?:argtypes|restype)", python))
+    assert used and used <= exports, used - exports
 
 
 class TestInputValidation:

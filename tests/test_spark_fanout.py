@@ -125,6 +125,41 @@ def test_bad_weights_rejected_before_any_job(spark, workload):
         sc.setLocalProperty("spark.job.description", None)
 
 
+def test_bad_ids_rejected_before_any_job(spark, workload):
+    """Non-integer or out-of-range ids fail on the driver, not inside a job."""
+    csr, w, seeds, block = workload
+    sc = spark.sparkContext
+    group = "test-bad-ids"
+    sc.setJobGroup(group, "bad ids must fail on the driver")
+    try:
+        with SparkTrialEngine(spark, csr, w) as eng:
+            for start, match in (
+                (lambda: run_trials_df(spark, csr, w, seeds, [1.5, 2.7]), "trial seeds"),
+                (lambda: run_trials_df(spark, csr, w, seeds, np.array([1.0])), "trial seeds"),
+                (lambda: run_trials_df(spark, csr, w, seeds, [True]), "trial seeds"),
+                (lambda: eng.run_many(seeds, [1.5]), "trial seeds"),
+                (lambda: marginal_gains_spark(spark, csr, w, [1.5], block), "candidates must"),
+                (lambda: marginal_gains_spark(spark, csr, w, [500], block), "candidate out"),
+                (lambda: marginal_gains_spark(spark, csr, w, [0], [1.5, 2.0]), "trial seeds"),
+                (
+                    lambda: marginal_gains_spark(spark, csr, w, [1], block, base_seeds=[2.5]),
+                    "seeds must be integers",
+                ),
+            ):
+                with pytest.raises(ValueError, match=match):
+                    start()
+        assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
+        # Integer trial seeds, negative ones included, come back as given.
+        pdf = run_trials_df(spark, csr, w, seeds, [-3, 5]).toPandas().sort_values("trial")
+        assert pdf["trial"].tolist() == [-3, 5]
+        local = make_engine("csr", csr, w)
+        assert pdf["num_active"].tolist() == [local.run(seeds, t).num_active for t in (-3, 5)]
+        assert list(sc.statusTracker().getJobIdsForGroup(group))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+
+
 def test_engine_broadcasts_its_graph_once(spark, workload, monkeypatch):
     csr, w, seeds, block = workload
     sc = spark.sparkContext
