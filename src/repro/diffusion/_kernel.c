@@ -1,6 +1,6 @@
 /* Compiled frontier kernel for CSREngine (IC and LT over CSR).
  *
- * ic_many and lt_many run a block of trials with one seed set. Coins are the
+ * run_many runs a block of trials with one seed set. Coins are the
  * counter-based splitmix64 stream of repro/diffusion/rng.py: a trial's
  * base key is sm64(stream ^ sm64(trial_seed)) and the uniform for id i is
  * (sm64(base + i) >> 11) * 2^-53, so every trial is bit-identical to the
@@ -11,13 +11,13 @@
  * queue holds activated nodes in activation order; the frontier of round
  * t is the slice the previous round appended. Seeds must be unique and
  * ascending. The last trial's nodes are not reset, so on return act holds
- * its activation times (-1 for inactive nodes). Both return the number of
- * iterations of the last trial.
+ * its activation times (-1 for inactive nodes); its number of iterations
+ * is the largest of them, so no function returns it.
  *
- * IC has one traversal, ic_search, which ic_many and ic_gains share. The
+ * IC has one traversal, ic_search, which run_many and ic_gains share. The
  * latter serves CELF: a trial's live edges are fixed by its coins, so its
  * activated set is the set reachable from the seeds over them, and
- * R_k(S + {c}) = R_k(S) + R_k(c). ic_many marks R_k(S) once per trial when
+ * R_k(S + {c}) = R_k(S) + R_k(c). run_many marks R_k(S) once per trial when
  * given a reach matrix; ic_gains then counts, per candidate, only the nodes
  * a search from c reaches outside R_k(S).
  */
@@ -62,29 +62,77 @@ static inline int64_t ic_search(const int64_t *indptr, const int64_t *indices,
     return qlen;
 }
 
+/* LT rounds from queue[0..qlen), whose act entries are 0: each activated
+ * u pushes w(u->v) into acc[v] once, walking the frontier in ascending node
+ * order and each node's edges in CSR order, so the floating-point sums
+ * equal the interpreted engines'. While it runs, act[v] == -2 marks a node
+ * that holds weight and -3 a node that received weight this round; both
+ * count as inactive. Returns the queue length, with acc all zero again and
+ * every act entry -1 or a time. */
+static inline int64_t lt_search(const int64_t *indptr, const int64_t *indices,
+                                const double *w, uint64_t base, int32_t *act,
+                                int64_t *queue, int64_t qlen,
+                                double *acc, int64_t *touched, int64_t *cand) {
+    int64_t lo = 0, n_touched = 0;
+    for (int32_t t = 0; lo < qlen; t++) {
+        int64_t hi = qlen, n_cand = 0;
+        for (int64_t i = lo; i < hi; i++) {
+            int64_t u = queue[i];
+            for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
+                int64_t v = indices[e];
+                if (act[v] >= 0) continue;
+                acc[v] += w[e];
+                if (act[v] == -1) touched[n_touched++] = v;
+                if (act[v] != -3) {
+                    act[v] = -3;
+                    cand[n_cand++] = v;
+                }
+            }
+        }
+        for (int64_t i = 0; i < n_cand; i++) {
+            int64_t v = cand[i];
+            if (acc[v] >= uniform(base, (uint64_t)v)) {
+                act[v] = t + 1;
+                queue[qlen++] = v;
+            } else {
+                act[v] = -2;
+            }
+        }
+        qsort(queue + hi, (size_t)(qlen - hi), sizeof(int64_t), cmp_i64);
+        lo = hi;
+    }
+    for (int64_t i = 0; i < n_touched; i++) {
+        int64_t v = touched[i];
+        acc[v] = 0.0;
+        if (act[v] < 0) act[v] = -1;
+    }
+    return qlen;
+}
+
 /* If reach is given (n_trials x n bytes, arriving zeroed), row k marks
- * R_k(seeds). */
-int64_t ic_many(const int64_t *indptr, const int64_t *indices, const double *w,
-                const int64_t *seeds, int64_t n_seeds,
-                const uint64_t *trials, int64_t n_trials, uint64_t stream,
-                int32_t *act, int64_t *queue, int64_t *counts,
-                uint8_t *reach, int64_t n) {
-    int32_t t = 0;
+ * R_k(seeds). Given LT's scratch (acc, n doubles arriving zeroed, and
+ * touched and cand, n each), the trials run under LT, else under IC. */
+void run_many(const int64_t *indptr, const int64_t *indices, const double *w,
+              const int64_t *seeds, int64_t n_seeds,
+              const uint64_t *trials, int64_t n_trials, uint64_t stream,
+              int32_t *act, int64_t *queue, int64_t *counts,
+              uint8_t *reach, int64_t n,
+              double *acc, int64_t *touched, int64_t *cand) {
     for (int64_t k = 0; k < n_trials; k++) {
+        uint64_t base = sm64(stream ^ sm64(trials[k]));
         for (int64_t i = 0; i < n_seeds; i++) {
             act[seeds[i]] = 0;
             queue[i] = seeds[i];
         }
-        int64_t qlen = ic_search(indptr, indices, w, sm64(stream ^ sm64(trials[k])),
-                                 NULL, act, queue, n_seeds);
+        int64_t qlen = acc
+            ? lt_search(indptr, indices, w, base, act, queue, n_seeds, acc, touched, cand)
+            : ic_search(indptr, indices, w, base, NULL, act, queue, n_seeds);
         counts[k] = qlen;
-        t = act[queue[qlen - 1]];
         if (reach)
             for (int64_t i = 0; i < qlen; i++) reach[k * n + queue[i]] = 1;
         if (k < n_trials - 1)
             for (int64_t i = 0; i < qlen; i++) act[queue[i]] = -1;
     }
-    return t;
 }
 
 /* totals[j] = sum over trials k of |R_k(S + {cands[j]})|, given row k of
@@ -109,62 +157,4 @@ void ic_gains(const int64_t *indptr, const int64_t *indices, const double *w,
         }
         totals[j] = total;
     }
-}
-
-/* LT pushes w(u->v) into acc[v] once per activated u, walking the frontier
- * in ascending node order and each node's edges in CSR order, so the
- * floating-point sums equal the interpreted engines'. While a trial runs,
- * act[v] == -2 marks a node that holds weight and -3 a node that received
- * weight this round; both count as inactive. */
-int64_t lt_many(const int64_t *indptr, const int64_t *indices, const double *w,
-                const int64_t *seeds, int64_t n_seeds,
-                const uint64_t *trials, int64_t n_trials, uint64_t stream,
-                int32_t *act, int64_t *queue, int64_t *counts,
-                double *acc, int64_t *touched, int64_t *cand) {
-    int32_t t = 0;
-    for (int64_t k = 0; k < n_trials; k++) {
-        uint64_t base = sm64(stream ^ sm64(trials[k]));
-        int64_t qlen = 0, lo = 0, n_touched = 0;
-        for (int64_t i = 0; i < n_seeds; i++) {
-            act[seeds[i]] = 0;
-            queue[qlen++] = seeds[i];
-        }
-        for (t = 0; lo < qlen; t++) {
-            int64_t hi = qlen, n_cand = 0;
-            for (int64_t i = lo; i < hi; i++) {
-                int64_t u = queue[i];
-                for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
-                    int64_t v = indices[e];
-                    if (act[v] >= 0) continue;
-                    acc[v] += w[e];
-                    if (act[v] == -1) touched[n_touched++] = v;
-                    if (act[v] != -3) {
-                        act[v] = -3;
-                        cand[n_cand++] = v;
-                    }
-                }
-            }
-            for (int64_t i = 0; i < n_cand; i++) {
-                int64_t v = cand[i];
-                if (acc[v] >= uniform(base, (uint64_t)v)) {
-                    act[v] = t + 1;
-                    queue[qlen++] = v;
-                } else {
-                    act[v] = -2;
-                }
-            }
-            if (qlen == hi) break;
-            qsort(queue + hi, (size_t)(qlen - hi), sizeof(int64_t), cmp_i64);
-            lo = hi;
-        }
-        counts[k] = qlen;
-        for (int64_t i = 0; i < n_touched; i++) {
-            int64_t v = touched[i];
-            acc[v] = 0.0;
-            if (act[v] < 0) act[v] = -1;
-        }
-        if (k < n_trials - 1)
-            for (int64_t i = 0; i < qlen; i++) act[queue[i]] = -1;
-    }
-    return t;
 }

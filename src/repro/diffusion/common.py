@@ -15,12 +15,14 @@ class DiffusionResult:
     Attributes:
         activation_time: ``(n,)`` int32; iteration at which each node
             activated (seeds are 0), or -1 if never activated.
-        num_iterations: last iteration index that activated any node
-            (0 when only the seeds activate).
     """
 
     activation_time: np.ndarray
-    num_iterations: int
+
+    @property
+    def num_iterations(self) -> int:
+        """Last iteration index that activated any node (0 when only the seeds activate)."""
+        return int(self.activation_time.max())
 
     @property
     def active_nodes(self) -> np.ndarray:
@@ -42,6 +44,19 @@ class DiffusionResult:
         return np.cumsum(self.frontier_sizes())
 
 
+def _integer_list(ids, what: str) -> list:
+    """``ids`` as a list whose elements are all ints or NumPy integers.
+
+    Anything else, bools included, raises ``ValueError`` naming ``what``:
+    NumPy would cast ``[True, 2]`` to ``[1, 2]``.
+    """
+    ids = list(ids)
+    for x in ids:
+        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+            raise ValueError(f"{what}s must be integers, got {x!r}")
+    return ids
+
+
 def integer_ids(nodes, what: str = "node") -> np.ndarray:
     """Node ids as int64, in the given order.
 
@@ -49,7 +64,7 @@ def integer_ids(nodes, what: str = "node") -> np.ndarray:
     would silently use other nodes (1.5 and True both become node 1).
     ``what`` names the ids in the error message.
     """
-    s = np.asarray(list(nodes)).ravel()
+    s = np.asarray(nodes if isinstance(nodes, np.ndarray) else _integer_list(nodes, what)).ravel()
     if s.size and s.dtype.kind not in "iu":
         raise ValueError(f"{what}s must be integers, got dtype {s.dtype}")
     return s.astype(np.int64, copy=False)
@@ -85,12 +100,8 @@ def trial_keys(trial_seeds) -> np.ndarray:
         trial_seeds = trial_seeds.ravel().tolist()
     # Python ints one by one: a list mixing negative and >= 2**63 seeds
     # would otherwise be converted through float64.
-    keys = []
-    for t in trial_seeds:
-        if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
-            raise ValueError(f"trial seeds must be integers, got {t!r}")
-        keys.append(int(t) & ((1 << 64) - 1))
-    return np.array(keys, np.uint64)
+    mask = (1 << 64) - 1
+    return np.array([int(t) & mask for t in _integer_list(trial_seeds, "trial seed")], np.uint64)
 
 
 def validate_weights(m: int, weights) -> np.ndarray:

@@ -102,12 +102,10 @@ def _load_kernel() -> ctypes.CDLL | None:
         )
         return None
     p, i64 = ctypes.c_void_p, ctypes.c_int64
-    common = [p, p, p, p, i64, p, i64, ctypes.c_uint64, p, p, p]
-    lib.ic_many.argtypes = common + [p, i64]
-    lib.lt_many.argtypes = common + [p, p, p]
-    lib.ic_many.restype = lib.lt_many.restype = i64
-    lib.ic_gains.argtypes = common[:8] + [p, i64, i64, p, p, p]
-    lib.ic_gains.restype = None
+    common = [p, p, p, p, i64, p, i64, ctypes.c_uint64]
+    lib.run_many.argtypes = common + [p, p, p, p, i64, p, p, p]
+    lib.ic_gains.argtypes = common + [p, i64, i64, p, p, p]
+    lib.run_many.restype = lib.ic_gains.restype = None
     return lib
 
 
@@ -168,8 +166,8 @@ class CSREngine(Engine):
         if _LIB is None:
             return self._interpreted.run(seeds, trial_seed)
         seeds = validate_seeds(self.csr.n, seeds)
-        act, t = self._kernel(seeds, trial_keys([trial_seed]), np.empty(1, np.int64))
-        return DiffusionResult(activation_time=act, num_iterations=t)
+        act = self._kernel(seeds, trial_keys([trial_seed]), np.empty(1, np.int64))
+        return DiffusionResult(act)
 
     def run_many(self, seeds, trial_seeds) -> np.ndarray:
         """Activated-node counts for many trials, one per ``trial_seeds``.
@@ -197,29 +195,28 @@ class CSREngine(Engine):
                 done.result()
         return counts
 
-    def _kernel(self, seeds, keys, counts, reach=None) -> tuple[np.ndarray, int]:
-        """One compiled call over ``keys``, filling ``counts``.
+    def _kernel(self, seeds, keys, counts, reach=None) -> np.ndarray:
+        """One compiled ``run_many`` call over ``keys``, filling ``counts``.
 
         Under IC, a ``(len(keys), n)`` uint8 ``reach`` of zeros gets row k
-        marked with trial k's activated nodes. The scratch arrays are the
-        call's own, so calls may run concurrently on disjoint ``counts``.
-        Returns the last trial's ``(n,)`` int32 activation times and its
-        number of iterations.
+        marked with trial k's activated nodes; under LT the call gets LT's
+        scratch. The scratch arrays are the call's own, so calls may run
+        concurrently on disjoint ``counts``. Returns the last trial's
+        ``(n,)`` int32 activation times.
         """
         n = self.csr.n
         act = np.full(n, -1, np.int32)
         queue = np.empty(n, np.int64)
-        args = [*self._graph, seeds.ctypes.data, seeds.size, keys.ctypes.data, keys.size]
-        state = [act.ctypes.data, queue.ctypes.data, counts.ctypes.data]
-        if self.model == "ic":
-            marks = (None, 0) if reach is None else (reach.ctypes.data, n)
-            return act, _LIB.ic_many(*args, STREAM_IC_COIN, *state, *marks)
-        acc = np.zeros(n, np.float64)
-        lists = np.empty(2 * n, np.int64)  # touched nodes, this round's candidates
-        return act, _LIB.lt_many(
-            *args, STREAM_LT_THRESHOLD, *state,
-            acc.ctypes.data, lists.ctypes.data, lists[n:].ctypes.data,
+        stream, lt = STREAM_IC_COIN, [None] * 3
+        if self.model == "lt":  # accumulated weight, touched nodes, this round's candidates
+            scratch = np.zeros(n, np.float64), np.empty(n, np.int64), np.empty(n, np.int64)
+            stream, lt = STREAM_LT_THRESHOLD, [a.ctypes.data for a in scratch]
+        marks = (None, 0) if reach is None else (reach.ctypes.data, n)
+        _LIB.run_many(
+            *self._graph, seeds.ctypes.data, seeds.size, keys.ctypes.data, keys.size, stream,
+            act.ctypes.data, queue.ctypes.data, counts.ctypes.data, *marks, *lt,
         )
+        return act
 
     def gains(self, base, candidates, trial_seeds) -> np.ndarray:
         """``spread(base + {c}, trial_seeds)`` for each candidate ``c``, in order.
@@ -227,14 +224,14 @@ class CSREngine(Engine):
         Under IC with the compiled kernel, all candidates and trials run in
         one ``ic_gains`` call. Each trial's live edges are fixed by its
         coins, so R_k(base + {c}) = R_k(base) + R_k(c): the reach R_k(base)
-        is marked once per distinct base by an ``ic_many`` call (trials x n
-        bytes; only the last base is kept), and each candidate's search
-        stops where it enters it. The counts are the same integers as
-        ``run_many``'s, so the result equals ``spread`` bit for bit (while
-        each candidate's total over the trials stays below 2**53). LT, and
-        both models when ``KERNEL`` is ``"python"``, take the base-class
-        loop over ``spread``: an incremental LT closure would add incoming
-        weights in another order.
+        is marked once per distinct base by a compiled ``run_many`` call
+        (trials x n bytes; only the last base is kept), and each
+        candidate's search stops where it enters it. The counts are the
+        same integers as ``run_many``'s, so the result equals ``spread``
+        bit for bit (while each candidate's total over the trials stays
+        below 2**53). LT, and both models when ``KERNEL`` is ``"python"``,
+        take the base-class loop over ``spread``: an incremental LT closure
+        would add incoming weights in another order.
         """
         if self.model != "ic" or _LIB is None:
             return super().gains(base, candidates, trial_seeds)
@@ -252,9 +249,9 @@ class CSREngine(Engine):
     def _reach(self, base: np.ndarray, keys: np.ndarray) -> tuple:
         """``ic_gains``'s trial and reach arguments for ``base`` over ``keys``.
 
-        The marks R_k(base) are rebuilt, by ``ic_many`` with a reach
-        matrix, only when ``base`` (unique and sorted) or the trial block
-        differs from the last call's. Called under ``_gains_lock``.
+        The marks R_k(base) are rebuilt, by the compiled ``run_many`` with a
+        reach matrix, only when ``base`` (unique and sorted) or the trial
+        block differs from the last call's. Called under ``_gains_lock``.
         """
         tag = (base.tobytes(), keys.tobytes())
         if self._last_reach is None or self._last_reach[0] != tag:

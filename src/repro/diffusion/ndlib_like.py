@@ -127,9 +127,7 @@ class NDlibLikeEngine(Engine):
                     act_time[v] = t
             if not any(st == _ACTIVE for st in status.values()):
                 break
-        return DiffusionResult(
-            activation_time=np.asarray(act_time, np.int32), num_iterations=t
-        )
+        return DiffusionResult(np.asarray(act_time, np.int32))
 
     def _run_lt(
         self, seeds: np.ndarray, trial_seed: int, params: dict
@@ -172,6 +170,4 @@ class NDlibLikeEngine(Engine):
                     act_time[v] = t
             if not any(st == _ACTIVE for st in status.values()):
                 break
-        return DiffusionResult(
-            activation_time=np.asarray(act_time, np.int32), num_iterations=t
-        )
+        return DiffusionResult(np.asarray(act_time, np.int32))

@@ -52,19 +52,15 @@ class PurePythonEngine(Engine):
             act_time[s] = 0
         t = 0
         while frontier:
+            t += 1
             newly: list[int] = []
             for u in frontier:
                 for v, eid, w in self.adj[u]:
                     if act_time[v] < 0 and coins.u(eid) < w:
-                        act_time[v] = t + 1
+                        act_time[v] = t
                         newly.append(v)
-            if not newly:
-                break
-            t += 1
             frontier = newly
-        return DiffusionResult(
-            activation_time=np.asarray(act_time, np.int32), num_iterations=t
-        )
+        return DiffusionResult(np.asarray(act_time, np.int32))
 
     def _run_lt(self, seeds: np.ndarray, trial_seed: int) -> DiffusionResult:
         thresholds = ScalarCoins(STREAM_LT_THRESHOLD, trial_seed)
@@ -75,6 +71,7 @@ class PurePythonEngine(Engine):
             act_time[s] = 0
         t = 0
         while frontier:
+            t += 1
             # Candidates = every inactive node that received weight this
             # round (it may also hold weight from earlier rounds; nodes
             # receiving nothing new cannot newly cross their threshold).
@@ -87,12 +84,7 @@ class PurePythonEngine(Engine):
             newly: list[int] = []
             for v in sorted(touched):
                 if acc[v] >= thresholds.u(v):
-                    act_time[v] = t + 1
+                    act_time[v] = t
                     newly.append(v)
-            if not newly:
-                break
-            t += 1
             frontier = newly
-        return DiffusionResult(
-            activation_time=np.asarray(act_time, np.int32), num_iterations=t
-        )
+        return DiffusionResult(np.asarray(act_time, np.int32))

@@ -39,7 +39,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import IntegerType, LongType, StructField, StructType
 
 from repro.diffusion.common import (
-    Engine, trial_keys, validate_model, validate_seeds, validate_weights,
+    Engine, integer_ids, trial_keys, validate_model, validate_seeds, validate_weights,
 )
 from repro.diffusion.csr_engine import CSREngine
 from repro.diffusion.rng import STREAM_IC_COIN, STREAM_LT_PICK, uniforms
@@ -228,9 +228,12 @@ def sample_live_edges(
     LT: each node picks at most one incoming edge (edge e with
     probability w_e), per Kempe et al.'s live-edge theorem; equality with
     the threshold engines is distributional, not per-trial.
+
+    A non-integer ``trial_seed`` raises ``ValueError``, as in ``trial_keys``.
     """
     model = validate_model(model)
     w = validate_weights(csr.m, weights)
+    trial_seed = int(trial_keys([trial_seed])[0])
     if model == "ic":
         eids = np.arange(csr.m, dtype=np.int64)
         live = uniforms(STREAM_IC_COIN, trial_seed, eids) < w
@@ -258,12 +261,13 @@ def frontier_reachability_df(
     ``frontier JOIN edges ON node = src``, deduplicates, anti-joins the
     active set, and localCheckpoints to truncate lineage. Terminates when
     a round adds no nodes; output rows are every reachable node with its
-    BFS depth (seeds at time 0).
+    BFS depth (seeds at time 0). Non-integer seeds raise ``ValueError``
+    before any job.
     """
+    seeds_pdf = pd.DataFrame({"node": np.unique(integer_ids(seeds, "seed"))})
     edges = live_edges.select(
         F.col("src").cast("long"), F.col("dst").cast("long")
     )
-    seeds_pdf = pd.DataFrame({"node": pd.Series(sorted({int(s) for s in seeds}), dtype="int64")})
     active = (
         spark.createDataFrame(seeds_pdf)
         .withColumn("time", F.lit(0).cast("int"))

@@ -67,10 +67,10 @@ def test_celf_first_pass_is_one_compiled_call(monkeypatch):
     gains = [size for name, size in calls if name == "ic_gains"]
     assert gains == [csr.n] + [1] * (res.n_evals - csr.n)
     # R(S) is marked once per selection round after the first, not per evaluation,
-    # by ic_many with a reach matrix (args[11]).
-    marks = [(call.args[4], bool(call.args[11])) for call in lib.calls if call.name == "ic_many"]
+    # by run_many with a reach matrix (args[11]).
+    marks = [(call.args[4], bool(call.args[11])) for call in lib.calls if call.name == "run_many"]
     assert marks == [(1, True), (2, True), (3, True)]
-    assert {name for name, _ in calls} == {"ic_gains", "ic_many"}
+    assert {name for name, _ in calls} == {"ic_gains", "run_many"}
 
 
 @pytest.mark.parametrize("model", ["ic", "lt"])

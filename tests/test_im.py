@@ -204,6 +204,15 @@ class TestCELF:
         assert c.sigma_values[-1] == pytest.approx(sigma(list(range(8))))
 
 
+@pytest.mark.parametrize("select", [greedy, celf])
+def test_bools_mixed_with_ints_rejected(setup, select):
+    """NumPy casts ``[True, 3]`` to ``[1, 3]``, so a bool would stand for node 1."""
+    *_, sigma = setup
+    with pytest.raises(ValueError, match="candidates must be integers"):
+        select(sigma, [True, 3], 1)
+    assert select(sigma, [np.int64(1), 3], 1) == select(sigma, [1, 3], 1)
+
+
 class TestCELFOnRegularGraph:
     """Table 2's setting at test scale: all backends pick identical seeds."""
 

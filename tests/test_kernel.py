@@ -1,4 +1,5 @@
 """Tests for CSREngine's compiled kernel, its interpreted fallback and its loader."""
+import ctypes
 import json
 import os
 import re
@@ -208,27 +209,35 @@ def test_one_cpu_runs_each_block_in_one_call(tmp_path):
     )
     got = json.loads(done.stdout)
     assert got["cpus"] == 1
-    assert got["calls"] == [["ic_many", True], ["lt_many", True]]
+    assert got["calls"] == [["run_many", True], ["run_many", True]]
     for model in ("ic", "lt"):
         assert got["counts"][model] == kernel_outputs(model)["counts"].tolist(), model
 
 
 @pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
 def test_kernel_exports_match_ctypes_declarations():
-    """Each export of ``_kernel.c`` has ctypes argtypes, and no stale name is called.
+    """Each export of ``_kernel.c`` is declared to ctypes and called, and nothing else is.
 
     Without argtypes, ctypes would pass Python ints as C ``int`` and
-    truncate 64-bit arguments.
+    truncate 64-bit arguments; without a restype matching the C return
+    type, it would read a C ``int``. An export that ``csr_engine.py`` never
+    calls through ``_LIB`` is dead code, and a name it calls that is not
+    exported fails at run time.
     """
     source = csr_engine._SOURCE.read_text()
-    exports = set(re.findall(r"^(?!static\b)\w[\w \t*]*?\b(\w+)\(", source, re.M))
+    found = re.findall(r"^(?!static\b)(\w+)[ \t*]+(\w+)\(", source, re.M)
+    exports = {name: ret for ret, name in found}
     assert exports, "no exported function parsed"
-    for name in sorted(exports):
-        assert getattr(csr_engine._LIB, name).argtypes is not None, name
+    restypes = {"void": None, "int64_t": ctypes.c_int64}
+    for name, ret in sorted(exports.items()):
+        fn = getattr(csr_engine._LIB, name)
+        assert fn.argtypes is not None, name
+        assert fn.restype is restypes[ret], (name, ret, fn.restype)
     python = Path(csr_engine.__file__).read_text()
-    used = set(re.findall(r"\b_LIB\.(\w+)", python))
-    used |= set(re.findall(r"\blib\.(\w+)\.(?:argtypes|restype)", python))
-    assert used and used <= exports, used - exports
+    called = set(re.findall(r"\b_LIB\.(\w+)\(", python))
+    declared = set(re.findall(r"\blib\.(\w+)\.(?:argtypes|restype)", python))
+    assert called == set(exports), (called, set(exports))
+    assert declared == set(exports), (declared, set(exports))
 
 
 class TestInputValidation:
@@ -268,6 +277,19 @@ class TestInputValidation:
                 e.run([0], trials[0])
             with pytest.raises(ValueError, match="trial seeds must be integers"):
                 e.run_many([0], [1, *trials])
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_bools_mixed_with_ints_rejected(self, model):
+        """NumPy casts ``[True, 2]`` to ``[1, 2]``, so a bool would stand for node 1."""
+        e = CSREngine(star(3), np.full(3, 0.5), model=model)
+        with pytest.raises(ValueError, match="seeds must be integers"):
+            e.run([True, 2], 1)
+        with pytest.raises(ValueError, match="candidates must be integers"):
+            e.gains([], [True, 2], [1])
+        got = e.run([np.int64(1), 2], 1).activation_time
+        assert np.array_equal(got, e.run([1, 2], 1).activation_time)
+        want = e.gains([0], [1, 2], [1]).tolist()
+        assert e.gains([np.int64(0)], [np.int64(1), 2], [1]).tolist() == want
 
     @pytest.mark.parametrize(
         "indptr, indices",

@@ -180,7 +180,7 @@ def test_block_runs_as_one_call_per_cpu(monkeypatch, model, length):
     monkeypatch.setattr(csr_engine, "_LIB", lib)
     counts = _engine(model).run_many([0, 3], trial_seed_block(12, length))
     calls = sorted(lib.calls, key=lambda call: call.args[10])  # by counts address
-    assert {call.name for call in calls} == {f"{model}_many"}
+    assert {call.name for call in calls} == {"run_many"}
     assert len(calls) == min(length, CPUS)
     assert [call.thread for call in calls].count(threading.get_ident()) == 1
     sizes = [call.args[6] for call in calls]

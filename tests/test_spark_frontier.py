@@ -8,8 +8,10 @@ Catalyst-driven iterative computation).
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.diffusion import make_engine
+from repro.diffusion import CSREngine, make_engine
 from repro.diffusion.exact import reachable
 from repro.diffusion.spark_engine import frontier_reachability_df, sample_live_edges
 from repro.graphs.csr import build_csr
@@ -17,6 +19,8 @@ from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import edge_weights
 from repro.im.spread import trial_seed_block
 from repro.oracle import assert_equivalent
+
+from tests.helpers import from_edges, small_graphs
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +81,67 @@ def test_frontier_matches_ic_engine_per_trial(spark, workload, ewm, trial_idx):
     tmap = dict(zip(got["node"], got["time"]))
     for v in r.active_nodes.tolist():
         assert tmap[v] == r.activation_time[v]
+
+
+def _frontier_times(spark, csr, w, seeds, trial) -> dict[int, int]:
+    """node -> time from the frontier engine over trial's IC live edges."""
+    live = pd.DataFrame(sample_live_edges(csr, w, trial, model="ic"), columns=["src", "dst"])
+    ledf = spark.createDataFrame(live, schema="src long, dst long")
+    got = frontier_reachability_df(spark, ledf, seeds).toPandas()
+    return dict(zip(got["node"].tolist(), got["time"].tolist()))
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    graph=small_graphs(),
+    seeds=st.lists(st.integers(0, 11), min_size=1, max_size=4),
+    trial=st.integers(-(2**63), 2**64 - 1),
+)
+@example(graph=(from_edges(4, []), np.empty(0), "ic"), seeds=[1, 3], trial=5)
+@example(  # nodes 3-5 have no edges
+    graph=(from_edges(6, [(0, 1), (1, 2), (2, 0)]), np.ones(3), "ic"), seeds=[0, 4], trial=-7
+)
+def test_frontier_matches_ic_engine_on_small_graphs(spark, graph, seeds, trial):
+    """Same nodes and times as ``CSREngine.run`` on the shapes the ER fixture never
+    makes: edgeless graphs, isolated nodes, self-loops and parallel edges."""
+    csr, w, _ = graph
+    seeds = [s % csr.n for s in seeds]
+    r = CSREngine(csr, w).run(seeds, trial)
+    want = {v: int(r.activation_time[v]) for v in r.active_nodes.tolist()}
+    assert _frontier_times(spark, csr, w, seeds, trial) == want
+
+
+def test_frontier_rejects_non_integer_seeds_before_any_job(spark):
+    """``int()`` would run node 0 for 0.7 and node 1 for True."""
+    ledf = spark.createDataFrame([(0, 1)], schema="src long, dst long")
+    sc = spark.sparkContext
+    group = "test-frontier-bad-seeds"
+    sc.setJobGroup(group, "bad seeds must fail before any job")
+    try:
+        for seeds in ([0.7], [True], [True, 1]):
+            with pytest.raises(ValueError, match="seeds must be integers"):
+                frontier_reachability_df(spark, ledf, seeds)
+        assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
+        # The group does see jobs: integer seeds run the search.
+        assert frontier_reachability_df(spark, ledf, [0]).count() == 2
+        assert list(sc.statusTracker().getJobIdsForGroup(group))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_sample_live_edges_trial_seeds(model):
+    """Bools and floats are not trial seeds (True would sample trial 1);
+    NumPy and Python integers of equal value sample the same edges."""
+    csr = build_csr(erdos_renyi(40, 0.1, seed=3))
+    w = edge_weights(csr, "WC")
+    for bad in (True, 1.5):
+        with pytest.raises(ValueError, match="trial seeds must be integers"):
+            sample_live_edges(csr, w, bad, model=model)
+    big = 2**63 + 5
+    want = sample_live_edges(csr, w, big, model=model)
+    assert np.array_equal(sample_live_edges(csr, w, np.uint64(big), model=model), want)
 
 
 def test_frontier_handles_no_live_edges(spark, workload):
