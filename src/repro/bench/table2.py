@@ -18,16 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.diffusion import make_engine
+from repro.diffusion.spark_engine import SparkTrialEngine
 from repro.graphs.csr import CSRGraph, build_csr
 from repro.graphs.generators import random_regular
 from repro.graphs.weights import edge_weights
 from repro.im.celf import celf
-from repro.im.spread import (
-    estimate_spread,
-    make_sigma,
-    marginal_gains_spark,
-    trial_seed_block,
-)
+from repro.im.spread import estimate_spread, make_sigma, trial_seed_block
 
 # Paper Table 2, seconds. NDlib: did not finish within 300 s.
 PAPER_TABLE2 = {
@@ -78,8 +74,9 @@ def run_celf_timed(
 
     Backends: ``csr`` / ``pure_python`` / ``ndlib_like`` run everything
     locally; ``spark`` fans the first pass (one sigma per candidate — the
-    dominant cost) out with ``marginal_gains_spark`` and does the lazy
-    re-evaluations with the local CSR kernel.
+    dominant cost) out with ``SparkTrialEngine.gains``, releasing the
+    engine's broadcast when it returns, and does the lazy re-evaluations
+    with the local CSR kernel.
     """
     block = trial_seed_block(base_seed, mc)
     candidates = list(range(csr.n))
@@ -89,10 +86,8 @@ def run_celf_timed(
         local = make_engine("csr", csr, weights, model=model)
         sigma = make_sigma(local, block)
         t0 = time.perf_counter()
-        gains_pdf = marginal_gains_spark(
-            spark, csr, weights, candidates, block, model=model
-        ).toPandas()
-        initial = dict(zip(gains_pdf["candidate"], gains_pdf["sigma_hat"]))
+        with SparkTrialEngine(spark, csr, weights, model=model) as engine:
+            initial = dict(zip(candidates, engine.gains([], candidates, block)))
         res = celf(sigma, candidates, k, initial_gains=initial)
         secs = time.perf_counter() - t0
         n_evals = res.n_evals + len(candidates)

@@ -2,22 +2,22 @@
 
 Two complementary designs:
 
-* **Trial fan-out** (:func:`run_trials_df`, :class:`SparkTrialEngine`):
-  the paper's stated future-work direction ("improve the performance of
-  CyNetDiff by adding parallelism"). Monte-Carlo trials are independent,
-  so a DataFrame of trial seeds is partitioned across executors and each
+* **Fan-out** (:class:`SparkTrialEngine`, :func:`run_trials_df`,
+  :func:`marginal_gains_spark`): the paper's stated future-work direction
+  ("improve the performance of CyNetDiff by adding parallelism").
+  Monte-Carlo trials, and CELF's candidates, are independent, so a
+  DataFrame of int64 keys is partitioned across executors and each
   partition runs the compiled CSR kernel locally via Arrow-backed
-  ``mapInPandas``. One private helper, ``_FanOut``, does the plumbing for
-  this module and for ``repro.im.spread.marginal_gains_spark``: it
-  validates the weights and model on the driver, ships the CSR arrays
-  with one ``SparkContext.broadcast`` (one per :class:`SparkTrialEngine`,
-  reused by all its calls, or one per lazy DataFrame), and builds one
-  :class:`CSREngine` per partition. The broadcast is deliberate: the graph
-  is the shared read-only operand; the session's disabled
-  *auto*-broadcast join threshold concerns relational joins, not this.
-  Because coins are counter-based (``repro.diffusion.rng``), the result
-  of trial ``t`` is bit-identical to a local engine run with
-  ``trial_seed=t`` regardless of partitioning.
+  ``mapInPandas``. :class:`SparkTrialEngine` is the one owner of a
+  broadcast graph: its constructor validates the weights and model on the
+  driver and ships the CSR arrays with one ``SparkContext.broadcast``,
+  reused by all its calls; the two module functions build one engine per
+  lazy DataFrame. The broadcast is deliberate: the graph is the shared
+  read-only operand; the session's disabled *auto*-broadcast join
+  threshold concerns relational joins, not this. Because coins are
+  counter-based (``repro.diffusion.rng``), the result of trial ``t`` is
+  bit-identical to a local engine run with ``trial_seed=t`` regardless of
+  partitioning.
 
 * **DataFrame frontier engine** (:func:`frontier_reachability_df`):
   diffusion expressed as iterative relational joins under Catalyst, over
@@ -30,16 +30,16 @@ Two complementary designs:
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import IntegerType, LongType, StructField, StructType
+from pyspark.sql.types import DoubleType, IntegerType, LongType, StructField, StructType
 
 from repro.diffusion.common import (
-    Engine, integer_ids, trial_keys, validate_model, validate_seeds, validate_weights,
+    trial_keys, validate_model, validate_nodes, validate_seeds, validate_weights,
 )
 from repro.diffusion.csr_engine import CSREngine
 from repro.diffusion.rng import STREAM_IC_COIN, STREAM_LT_PICK, uniforms
@@ -61,49 +61,12 @@ ACTIVATION_SCHEMA = StructType(
     ]
 )
 
-
-class _FanOut:
-    """A CSR graph validated and broadcast once, fanned out over partitions.
-
-    The constructor checks the weights and model on the driver, so bad
-    input raises ``ValueError`` before any job runs, then ships the graph
-    with one ``SparkContext.broadcast``. :meth:`map` spreads an int64 key
-    array, which the caller validated on the driver, over ``min(len(keys),
-    defaultParallelism)`` partitions (one when there are no keys: the key
-    schema is explicit, so an empty block gives an empty result); each
-    partition builds one :class:`CSREngine` from the broadcast and passes
-    it, with each batch's keys, to ``body``, which yields pandas frames of
-    ``schema``.
-    """
-
-    def __init__(self, spark: SparkSession, csr: CSRGraph, weights, model: str) -> None:
-        self.spark = spark
-        self.graph = spark.sparkContext.broadcast(
-            (csr.n, csr.indptr, csr.indices, validate_weights(csr.m, weights),
-             validate_model(model))
-        )
-
-    def map(
-        self,
-        keys: np.ndarray,
-        body: Callable[[CSREngine, list[int]], Iterator[pd.DataFrame]],
-        schema: StructType,
-    ) -> DataFrame:
-        graph = self.graph
-
-        def run_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            n, indptr, indices, weights, model = graph.value
-            engine = CSREngine(CSRGraph(n=n, indptr=indptr, indices=indices), weights, model=model)
-            for batch in batches:
-                yield from body(engine, batch["key"].tolist())
-
-        keys = pd.DataFrame({"key": keys})
-        num_part = max(1, min(len(keys), self.spark.sparkContext.defaultParallelism))
-        return (
-            self.spark.createDataFrame(keys, "key long")
-            .repartition(num_part)
-            .mapInPandas(run_partition, schema)
-        )
+GAINS_SCHEMA = StructType(
+    [
+        StructField("candidate", LongType(), False),
+        StructField("sigma_hat", DoubleType(), False),
+    ]
+)
 
 
 def _trials_body(seeds: np.ndarray, output: str):
@@ -139,6 +102,107 @@ def _trials_body(seeds: np.ndarray, output: str):
     raise ValueError(f"output must be summary|activations, got {output!r}")
 
 
+def _gains_body(base: np.ndarray, trials: np.ndarray):
+    """Per-batch body of a candidate fan-out: one ``CSREngine.gains`` call per batch."""
+    def gains(engine: CSREngine, batch: list[int]) -> Iterator[pd.DataFrame]:
+        yield pd.DataFrame({"candidate": batch, "sigma_hat": engine.gains(base, batch, trials)})
+
+    return gains
+
+
+class SparkTrialEngine:
+    """Engine adapter running trial and candidate batches through Spark.
+
+    The constructor validates the weights and model on the driver, so bad
+    input raises ``ValueError`` before any job, then ships the graph with
+    one ``SparkContext.broadcast``; every call reuses it, so a Spark-backed
+    σ̂ inside CELF adds jobs but no broadcasts. ``run_many(seeds,
+    trial_seeds)`` returns the per-trial summary as pandas and ``spread``
+    its mean; ``gains`` fans the candidates out in one job, each partition
+    making one ``CSREngine.gains`` call per batch. :meth:`close` (or
+    leaving a ``with`` block) destroys the broadcast.
+    """
+
+    def __init__(
+        self, spark: SparkSession, csr: CSRGraph, weights: np.ndarray, *, model: str = "ic"
+    ) -> None:
+        self.spark = spark
+        self.csr = csr
+        self._graph = spark.sparkContext.broadcast(
+            (csr.n, csr.indptr, csr.indices, validate_weights(csr.m, weights),
+             validate_model(model))
+        )
+
+    def __enter__(self) -> "SparkTrialEngine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Destroy the graph's broadcast, freeing its copies on every Spark node.
+
+        Calling it again does nothing; a closed engine runs no more jobs.
+        """
+        if self._graph is not None:
+            self._graph.destroy()
+            self._graph = None
+
+    def _map(
+        self,
+        keys: np.ndarray,
+        body: Callable[[CSREngine, list[int]], Iterator[pd.DataFrame]],
+        schema: StructType,
+    ) -> DataFrame:
+        """Lazy DataFrame of ``body``'s frames over int64 ``keys``, validated by the caller.
+
+        The keys are spread over ``min(len(keys), defaultParallelism)``
+        partitions (one when there are none: the key schema is explicit, so
+        an empty block gives an empty result); each partition builds one
+        :class:`CSREngine` from the broadcast and passes it, with each
+        batch's keys, to ``body``, which yields pandas frames of ``schema``.
+        """
+        graph = self._graph
+        if graph is None:
+            raise ValueError("SparkTrialEngine is closed")
+
+        def run_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+            n, indptr, indices, weights, model = graph.value
+            engine = CSREngine(CSRGraph(n=n, indptr=indptr, indices=indices), weights, model=model)
+            for batch in batches:
+                yield from body(engine, batch["key"].tolist())
+
+        keys = pd.DataFrame({"key": keys})
+        num_part = max(1, min(len(keys), self.spark.sparkContext.defaultParallelism))
+        return (
+            self.spark.createDataFrame(keys, "key long")
+            .repartition(num_part)
+            .mapInPandas(run_partition, schema)
+        )
+
+    def run_many(self, seeds, trial_seeds) -> pd.DataFrame:
+        """Collect (trial, num_active, num_iterations), ordered by trial."""
+        body, schema = _trials_body(validate_seeds(self.csr.n, seeds), "summary")
+        df = self._map(trial_keys(trial_seeds).view(np.int64), body, schema)
+        return df.toPandas().sort_values("trial").reset_index(drop=True)
+
+    def spread(self, seeds, trial_seeds) -> float:
+        """Mean number of activated nodes across trials."""
+        return float(self.run_many(seeds, trial_seeds)["num_active"].mean())
+
+    def gains(self, base, candidates, trial_seeds) -> np.ndarray:
+        """``spread(base + {c}, trial_seeds)`` for each candidate ``c``, in order.
+
+        One fan-out over the distinct candidates, so one job whatever their
+        number; the values are ``CSREngine.gains``'s.
+        """
+        cands = validate_nodes(self.csr.n, candidates, "candidate")
+        base = validate_nodes(self.csr.n, base, "seed")
+        distinct, where = np.unique(cands, return_inverse=True)
+        pdf = self._map(distinct, _gains_body(base, trial_keys(trial_seeds)), GAINS_SCHEMA)
+        return pdf.toPandas().sort_values("candidate")["sigma_hat"].to_numpy()[where]
+
+
 def run_trials_df(
     spark: SparkSession,
     csr: CSRGraph,
@@ -157,63 +221,40 @@ def run_trials_df(
             (trial, node, time), the input to heatmap/timeseries analytics.
 
     Bad weights, model, seeds, trial seeds or output raise ``ValueError``
-    here, before any job. The ``trial`` column holds each trial seed as a
-    signed 64-bit integer (the caller's value when it fits). Returns a
-    lazily-evaluated DataFrame holding one broadcast of the graph; each
-    partition instantiates one :class:`CSREngine` from it and loops its
-    trials.
+    here, before any job or broadcast. The ``trial`` column holds each
+    trial seed as a signed 64-bit integer (the caller's value when it
+    fits). Returns a lazily-evaluated DataFrame over the broadcast of one
+    :class:`SparkTrialEngine`, which is never closed; each partition
+    instantiates one :class:`CSREngine` from it and loops its trials.
     """
     body, schema = _trials_body(validate_seeds(csr.n, seeds), output)
     trials = trial_keys(trial_seeds).view(np.int64)
-    return _FanOut(spark, csr, weights, model).map(trials, body, schema)
+    return SparkTrialEngine(spark, csr, weights, model=model)._map(trials, body, schema)
 
 
-class SparkTrialEngine:
-    """Engine adapter running batches of trials through Spark.
+def marginal_gains_spark(
+    spark: SparkSession,
+    csr: CSRGraph,
+    weights: np.ndarray,
+    candidates: Sequence[int],
+    trial_seeds,
+    *,
+    base_seeds: Sequence[int] = (),
+    model: str = "ic",
+) -> DataFrame:
+    """sigma-hat(base_seeds + {c}) for every candidate, in parallel.
 
-    The graph is validated and broadcast once, at construction, and every
-    ``run_many``/``spread`` call reuses that broadcast, so a Spark-backed
-    σ̂ inside CELF adds jobs but no broadcasts. ``run_many(seeds,
-    trial_seeds)`` returns the per-trial summary as pandas; ``spread`` is
-    the Monte-Carlo influence estimate and ``gains`` loops it over
-    candidates, as for the local engines. :meth:`close` (or leaving a
-    ``with`` block) destroys the broadcast.
+    This is CELF's dominant cost — the first pass evaluates every node —
+    and it is embarrassingly parallel over candidates: the body of
+    :meth:`SparkTrialEngine.gains` (one ``CSREngine.gains`` call per
+    partition batch over the shared CRN trial block), returned as a lazy
+    (candidate, sigma_hat) DataFrame over the broadcast of one engine,
+    which is never closed. Non-integer or out-of-range ids and bad
+    weights raise ``ValueError`` here, before any job or broadcast.
     """
-
-    def __init__(
-        self, spark: SparkSession, csr: CSRGraph, weights: np.ndarray, *, model: str = "ic"
-    ) -> None:
-        self.csr = csr
-        self._fan_out: _FanOut | None = _FanOut(spark, csr, weights, model)
-
-    def __enter__(self) -> "SparkTrialEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Destroy the graph's broadcast, freeing its copies on every Spark node.
-
-        Calling it again does nothing; a closed engine runs no more jobs.
-        """
-        if self._fan_out is not None:
-            self._fan_out.graph.destroy()
-            self._fan_out = None
-
-    def run_many(self, seeds, trial_seeds) -> pd.DataFrame:
-        """Collect (trial, num_active, num_iterations), ordered by trial."""
-        if self._fan_out is None:
-            raise ValueError("SparkTrialEngine is closed")
-        body, schema = _trials_body(validate_seeds(self.csr.n, seeds), "summary")
-        df = self._fan_out.map(trial_keys(trial_seeds).view(np.int64), body, schema)
-        return df.toPandas().sort_values("trial").reset_index(drop=True)
-
-    def spread(self, seeds, trial_seeds) -> float:
-        """Mean number of activated nodes across trials."""
-        return float(self.run_many(seeds, trial_seeds)["num_active"].mean())
-
-    gains = Engine.gains  # one fan-out per candidate
+    cands = validate_nodes(csr.n, candidates, "candidate")
+    body = _gains_body(validate_nodes(csr.n, base_seeds, "seed"), trial_keys(trial_seeds))
+    return SparkTrialEngine(spark, csr, weights, model=model)._map(cands, body, GAINS_SCHEMA)
 
 
 def sample_live_edges(
@@ -227,7 +268,12 @@ def sample_live_edges(
 
     LT: each node picks at most one incoming edge (edge e with
     probability w_e), per Kempe et al.'s live-edge theorem; equality with
-    the threshold engines is distributional, not per-trial.
+    the threshold engines is distributional, not per-trial, and holds only
+    where every node's incoming weights sum to at most 1, up to rounding.
+    Larger sums are not rejected (weighted-cascade weights 1/in-degree
+    round to sums of 1 + a few ulps): the threshold engines then activate
+    a node whose in-sum reaches its threshold, while here its pick
+    probabilities are cut off at a cumulative 1.
 
     A non-integer ``trial_seed`` raises ``ValueError``, as in ``trial_keys``.
     """
@@ -253,18 +299,18 @@ def sample_live_edges(
 
 
 def frontier_reachability_df(
-    spark: SparkSession, live_edges: DataFrame, seeds
+    spark: SparkSession, live_edges: DataFrame, n: int, seeds
 ) -> DataFrame:
     """BFS reachability as iterative DataFrame joins: returns (node, time).
 
-    ``live_edges`` must have columns (src, dst). Each round shuffles
-    ``frontier JOIN edges ON node = src``, deduplicates, anti-joins the
-    active set, and localCheckpoints to truncate lineage. Terminates when
-    a round adds no nodes; output rows are every reachable node with its
-    BFS depth (seeds at time 0). Non-integer seeds raise ``ValueError``
-    before any job.
+    ``live_edges`` must have columns (src, dst) over nodes ``[0, n)``. Each
+    round shuffles ``frontier JOIN edges ON node = src``, deduplicates,
+    anti-joins the active set, and localCheckpoints to truncate lineage.
+    Terminates when a round adds no nodes; output rows are every reachable
+    node with its BFS depth (seeds at time 0). Non-integer, out-of-range or
+    no seeds raise ``ValueError`` before any job, as in ``CSREngine.run``.
     """
-    seeds_pdf = pd.DataFrame({"node": np.unique(integer_ids(seeds, "seed"))})
+    seeds_pdf = pd.DataFrame({"node": validate_seeds(n, seeds)})
     edges = live_edges.select(
         F.col("src").cast("long"), F.col("dst").cast("long")
     )

@@ -9,8 +9,8 @@ the same seed set as plain greedy while evaluating sigma far fewer times
 the savings.
 
 The first pass still evaluates every candidate once; callers can supply
-those values precomputed (``initial_gains``), which is how the Spark
-backend parallelizes them via ``repro.im.spread.marginal_gains_spark``.
+those values precomputed (``initial_gains``), which is how Table 2's
+Spark backend parallelizes them with ``SparkTrialEngine.gains``.
 
 A ``sigma`` with a ``gains(base, candidates)`` method (``make_sigma``'s
 ``Sigma``) evaluates many candidates per call: the first pass is one

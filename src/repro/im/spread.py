@@ -10,17 +10,14 @@ select identical seed sets (asserted in tests).
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
-from repro.diffusion.common import trial_keys, validate_nodes
+from repro.diffusion.common import trial_keys
 from repro.diffusion.rng import splitmix64_py
-from repro.diffusion.spark_engine import _FanOut
-from repro.graphs.csr import CSRGraph
+# CELF's Spark first pass; it lives with the engine that owns the broadcast.
+from repro.diffusion.spark_engine import marginal_gains_spark  # noqa: F401
 
 
 def trial_seed_block(base_seed: int, n_trials: int) -> np.ndarray:
@@ -74,43 +71,3 @@ class Sigma:
 def make_sigma(engine, trial_seeds) -> Sigma:
     """Bind an engine + CRN trial block into a sigma-hat(S) callable."""
     return Sigma(engine, trial_seeds)
-
-
-_GAINS_SCHEMA = StructType(
-    [
-        StructField("candidate", LongType(), False),
-        StructField("sigma_hat", DoubleType(), False),
-    ]
-)
-
-
-def marginal_gains_spark(
-    spark: SparkSession,
-    csr: CSRGraph,
-    weights: np.ndarray,
-    candidates: Sequence[int],
-    trial_seeds,
-    *,
-    base_seeds: Sequence[int] = (),
-    model: str = "ic",
-) -> DataFrame:
-    """sigma-hat(base_seeds + {c}) for every candidate, in parallel.
-
-    This is CELF's dominant cost — the first pass evaluates every node —
-    and it is embarrassingly parallel over candidates, so candidates are
-    fanned out with ``mapInPandas`` (through the same fan-out helper as
-    :func:`~repro.diffusion.spark_engine.run_trials_df`, so bad weights
-    raise before any job) while each worker makes one ``CSREngine.gains``
-    call per batch over the shared CRN trial block. Returns
-    (candidate, sigma_hat). Non-integer or out-of-range ids raise
-    ``ValueError`` here, before any job.
-    """
-    cands = validate_nodes(csr.n, candidates, "candidate")
-    base = validate_nodes(csr.n, base_seeds, "seed")
-    trials = trial_keys(trial_seeds)
-
-    def gains(engine, batch: list[int]) -> Iterator[pd.DataFrame]:
-        sigma_hat = engine.gains(base, batch, trials)
-        yield pd.DataFrame({"candidate": batch, "sigma_hat": sigma_hat})
-
-    return _FanOut(spark, csr, weights, model).map(cands, gains, _GAINS_SCHEMA)

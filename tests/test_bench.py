@@ -175,6 +175,26 @@ class TestTable2Driver:
             seeds = {tuple(c.seeds) for c in cells}
             assert len(seeds) == 1, f"backends disagree on {ewm}"
 
+    def test_spark_backend_matches_csr_and_releases_its_broadcasts(self, spark, monkeypatch):
+        sc = spark.sparkContext
+        made, destroyed = [], []
+        real_broadcast, real_destroy = sc.broadcast, Broadcast.destroy
+
+        def destroy(self, blocking=False):
+            destroyed.append(self)
+            real_destroy(self, blocking)
+
+        monkeypatch.setattr(sc, "broadcast", lambda value: made.append(real_broadcast(value)) or made[-1])
+        monkeypatch.setattr(Broadcast, "destroy", destroy)
+        rows = run_table2(backends=("csr", "spark"), n=60, k=2, mc=10, spark=spark)
+        for csr_row, spark_row in zip(rows[::2], rows[1::2]):
+            assert (csr_row.backend, spark_row.backend) == ("csr", "spark")
+            assert csr_row.ewm == spark_row.ewm
+            assert csr_row.seeds == spark_row.seeds
+            assert csr_row.sigma_value == spark_row.sigma_value
+            assert csr_row.n_evals == spark_row.n_evals
+        assert len(made) == 2 and destroyed == made  # one per EWM
+
     def test_ndlib_extrapolation_positive(self):
         csr = table2_graph(60, 7, seed=1)
         w = edge_weights(csr, "TV", seed=0)
@@ -207,6 +227,43 @@ def test_src_reads_only_kernel_build_environment():
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     names = set().union(*(_env_reads(p) for p in src.rglob("*.py")))
     assert names == {"CC", "XDG_CACHE_HOME"}
+
+
+def _broadcasts_and_private_imports(path: Path) -> tuple[list[str], list[str]]:
+    """Where ``path`` calls ``<...>sparkContext.broadcast(`` (as ``Class.function``
+    paths), and the private names it imports from ``repro`` modules."""
+    broadcasts, private = [], []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "broadcast"
+                and ast.unparse(child.func.value).endswith("sparkContext")
+            ):
+                broadcasts.append(".".join(scope))
+            if isinstance(child, ast.ImportFrom) and (child.module or "").startswith("repro"):
+                private.extend(a.name for a in child.names if a.name.startswith("_"))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return broadcasts, private
+
+
+def test_src_broadcasts_once_and_imports_no_private_name():
+    """One owner of a broadcast graph, and no module reaches into another's internals."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    broadcasts, private = [], []
+    for path in sorted(src.rglob("*.py")):
+        found, names = _broadcasts_and_private_imports(path)
+        name = path.relative_to(src).as_posix()
+        broadcasts += [f"{name}:{where}" for where in found]
+        private += [f"{name}:{imported}" for imported in names]
+    assert broadcasts == ["repro/diffusion/spark_engine.py:SparkTrialEngine.__init__"]
+    assert private == []
 
 
 def test_benchmark_tracer_patches_and_restores_csr_engine(small_csr):

@@ -1,11 +1,11 @@
 """Spark IM tests: parallel marginal gains + the Spark CELF backend."""
 import pytest
 
-from repro.diffusion import make_engine
+from repro.diffusion import CSREngine, make_engine
 from repro.diffusion.spark_engine import SparkTrialEngine
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import random_regular
-from repro.graphs.weights import edge_weights
+from repro.graphs.weights import edge_weights, normalize_for_lt
 from repro.im import celf, make_sigma, marginal_gains_spark, trial_seed_block
 from repro.im.spread import estimate_spread
 
@@ -56,6 +56,32 @@ def test_spark_trial_engine_as_sigma_backend(spark, workload):
     local_sigma = make_sigma(make_engine("csr", csr, w), block[:20])
     for s in ([3], [3, 9]):
         assert spark_sigma(s) == pytest.approx(local_sigma(s))
-    assert spark_sigma.gains([3], [9, 3]).tolist() == pytest.approx(
-        local_sigma.gains([3], [9, 3]).tolist()
-    )
+    assert spark_sigma.gains([3], [9, 3]).tolist() == local_sigma.gains([3], [9, 3]).tolist()
+
+
+def _jobs(spark, group, run) -> int:
+    """Number of Spark jobs ``run()`` starts, counted in a job group of its own."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        run()
+        return len(sc.statusTracker().getJobIdsForGroup(group))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_gains_is_one_fan_out(spark, workload, model):
+    """All candidates cost the jobs of one ``run_many`` call, and the values
+    are ``CSREngine.gains``'s exactly, in candidate order, duplicates included."""
+    csr, w, block = workload
+    if model == "lt":
+        w = normalize_for_lt(csr, w)
+    cands = [*range(csr.n - 1, -1, -1), 7]
+    with SparkTrialEngine(spark, csr, w, model=model) as eng:
+        got = []
+        fan_out = _jobs(spark, f"test-gains-{model}", lambda: got.extend(eng.gains([2], cands, block)))
+        run_many = _jobs(spark, f"test-run-many-{model}", lambda: eng.run_many([2], block))
+    assert fan_out == run_many > 0
+    assert got == CSREngine(csr, w, model=model).gains([2], cands, block).tolist()

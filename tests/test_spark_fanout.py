@@ -125,19 +125,26 @@ def test_bad_weights_rejected_before_any_job(spark, workload):
         sc.setLocalProperty("spark.job.description", None)
 
 
-def test_bad_ids_rejected_before_any_job(spark, workload):
-    """Non-integer or out-of-range ids fail on the driver, not inside a job."""
+def test_bad_ids_rejected_before_any_job(spark, workload, monkeypatch):
+    """Non-integer or out-of-range ids fail on the driver, before any job or broadcast."""
     csr, w, seeds, block = workload
     sc = spark.sparkContext
     group = "test-bad-ids"
     sc.setJobGroup(group, "bad ids must fail on the driver")
     try:
         with SparkTrialEngine(spark, csr, w) as eng:
+            made = []
+            real = sc.broadcast
+            monkeypatch.setattr(sc, "broadcast", lambda value: made.append(value) or real(value))
             for start, match in (
                 (lambda: run_trials_df(spark, csr, w, seeds, [1.5, 2.7]), "trial seeds"),
                 (lambda: run_trials_df(spark, csr, w, seeds, np.array([1.0])), "trial seeds"),
                 (lambda: run_trials_df(spark, csr, w, seeds, [True]), "trial seeds"),
+                (lambda: run_trials_df(spark, csr, w, [csr.n], block), "seed out"),
                 (lambda: eng.run_many(seeds, [1.5]), "trial seeds"),
+                (lambda: eng.gains([], [csr.n], block), "candidate out"),
+                (lambda: eng.gains([0.5], [1], block), "seeds must be integers"),
+                (lambda: eng.gains([], [1], [2.5]), "trial seeds"),
                 (lambda: marginal_gains_spark(spark, csr, w, [1.5], block), "candidates must"),
                 (lambda: marginal_gains_spark(spark, csr, w, [500], block), "candidate out"),
                 (lambda: marginal_gains_spark(spark, csr, w, [0], [1.5, 2.0]), "trial seeds"),
@@ -149,6 +156,7 @@ def test_bad_ids_rejected_before_any_job(spark, workload):
                 with pytest.raises(ValueError, match=match):
                     start()
         assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
+        assert made == []
         # Integer trial seeds, negative ones included, come back as given.
         pdf = run_trials_df(spark, csr, w, seeds, [-3, 5]).toPandas().sort_values("trial")
         assert pdf["trial"].tolist() == [-3, 5]

@@ -52,7 +52,7 @@ def test_frontier_matches_duckdb_recursive(spark, workload, trial_idx):
     edges_pdf = pd.DataFrame(le, columns=["src", "dst"])
     seeds_pdf = pd.DataFrame({"node": seeds})
     ledf = spark.createDataFrame(edges_pdf)
-    got = frontier_reachability_df(spark, ledf, seeds)
+    got = frontier_reachability_df(spark, ledf, csr.n, seeds)
     assert_equivalent(
         got, _RECURSIVE_SQL.format(n=csr.n), edges=edges_pdf, seeds=seeds_pdf
     )
@@ -73,7 +73,7 @@ def test_frontier_matches_ic_engine_per_trial(spark, workload, ewm, trial_idx):
     trial = int(trial_seed_block(10, 10)[trial_idx])
     le = sample_live_edges(csr, w, trial, model="ic")
     ledf = spark.createDataFrame(pd.DataFrame(le, columns=["src", "dst"]))
-    got = frontier_reachability_df(spark, ledf, seeds).toPandas()
+    got = frontier_reachability_df(spark, ledf, csr.n, seeds).toPandas()
     r = make_engine("csr", csr, w, model="ic").run(seeds, trial)
     if ewm == "UR":
         assert r.num_active > csr.n // 2
@@ -87,7 +87,7 @@ def _frontier_times(spark, csr, w, seeds, trial) -> dict[int, int]:
     """node -> time from the frontier engine over trial's IC live edges."""
     live = pd.DataFrame(sample_live_edges(csr, w, trial, model="ic"), columns=["src", "dst"])
     ledf = spark.createDataFrame(live, schema="src long, dst long")
-    got = frontier_reachability_df(spark, ledf, seeds).toPandas()
+    got = frontier_reachability_df(spark, ledf, csr.n, seeds).toPandas()
     return dict(zip(got["node"].tolist(), got["time"].tolist()))
 
 
@@ -112,18 +112,25 @@ def test_frontier_matches_ic_engine_on_small_graphs(spark, graph, seeds, trial):
 
 
 def test_frontier_rejects_non_integer_seeds_before_any_job(spark):
-    """``int()`` would run node 0 for 0.7 and node 1 for True."""
-    ledf = spark.createDataFrame([(0, 1)], schema="src long, dst long")
+    """``int()`` would run node 0 for 0.7 and node 1 for True; nodes -1 and 7
+    are not in the graph 0 -> 1 -> 2, and an empty seed set is no seed set."""
+    ledf = spark.createDataFrame([(0, 1), (1, 2)], schema="src long, dst long")
     sc = spark.sparkContext
     group = "test-frontier-bad-seeds"
     sc.setJobGroup(group, "bad seeds must fail before any job")
     try:
-        for seeds in ([0.7], [True], [True, 1]):
-            with pytest.raises(ValueError, match="seeds must be integers"):
-                frontier_reachability_df(spark, ledf, seeds)
+        for seeds, match in (
+            ([0.7], "seeds must be integers"),
+            ([True], "seeds must be integers"),
+            ([True, 1], "seeds must be integers"),
+            ([-1, 7], "seed out of range"),
+            ([], "non-empty"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                frontier_reachability_df(spark, ledf, 3, seeds)
         assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
         # The group does see jobs: integer seeds run the search.
-        assert frontier_reachability_df(spark, ledf, [0]).count() == 2
+        assert frontier_reachability_df(spark, ledf, 3, [1]).count() == 2
         assert list(sc.statusTracker().getJobIdsForGroup(group))
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
@@ -147,7 +154,7 @@ def test_sample_live_edges_trial_seeds(model):
 def test_frontier_handles_no_live_edges(spark, workload):
     csr, _, seeds = workload
     ledf = spark.createDataFrame([], schema="src long, dst long")
-    got = frontier_reachability_df(spark, ledf, seeds).toPandas()
+    got = frontier_reachability_df(spark, ledf, csr.n, seeds).toPandas()
     assert sorted(got["node"]) == sorted(seeds)
     assert (got["time"] == 0).all()
 
@@ -204,6 +211,6 @@ def test_live_edge_reachability_equals_local_bfs(spark, workload):
     trial = int(trial_seed_block(14, 1)[0])
     le = sample_live_edges(csr, w, trial, model="ic")
     ledf = spark.createDataFrame(pd.DataFrame(le, columns=["src", "dst"]))
-    got = frontier_reachability_df(spark, ledf, seeds).toPandas()
+    got = frontier_reachability_df(spark, ledf, csr.n, seeds).toPandas()
     mask = reachable(csr.n, le, seeds)
     assert set(got["node"]) == set(np.nonzero(mask)[0].tolist())
