@@ -15,11 +15,16 @@
  * is the largest of them, so no function returns it.
  *
  * IC has one traversal, ic_search, which run_many and ic_gains share. The
- * latter serves CELF: a trial's live edges are fixed by its coins, so its
- * activated set is the set reachable from the seeds over them, and
+ * gains calls serve CELF: a trial's live edges are fixed by its coins, so
+ * its activated set is the set reachable from the seeds over them, and
  * R_k(S + {c}) = R_k(S) + R_k(c). run_many marks R_k(S) once per trial when
- * given a reach matrix; ic_gains then counts, per candidate, only the nodes
- * a search from c reaches outside R_k(S).
+ * given a reach matrix; the gains calls then count, per candidate, only
+ * the nodes a search from c reaches outside R_k(S). ic_gains puts
+ * candidates in the outer loop, so a coin is hashed again by every search
+ * that scans its edge; ic_snapshot_gains puts trials in the outer loop and
+ * hashes each coin once per trial into that trial's live-edge graph (its
+ * "snapshot", Kempe et al. 2003), which every candidate's search then
+ * walks without hashing. Both give the same integer totals.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -135,14 +140,17 @@ void run_many(const int64_t *indptr, const int64_t *indices, const double *w,
     }
 }
 
-/* totals[j] = sum over trials k of |R_k(S + {cands[j]})|, given row k of
- * R_k(S) at reach + k * stride (stride 0 with one zero row for S = {}) and
- * base_total = sum over k of |R_k(S)|. act arrives all -1 and is left so. */
+/* The reach and trial arguments of both gains calls: row k of R_k(S) is at
+ * reach + k * stride (stride 0 with one zero row for S = {}), and
+ * base_total = sum over k of |R_k(S)|. Each sets totals[j] = sum over
+ * trials k of |R_k(S + {cands[j]})|. act arrives all -1 and is left so.
+ *
+ * ic_gains searches from each candidate in turn, once per trial. */
 void ic_gains(const int64_t *indptr, const int64_t *indices, const double *w,
-              const int64_t *cands, int64_t n_cands,
               const uint64_t *trials, int64_t n_trials, uint64_t stream,
               const uint8_t *reach, int64_t stride, int64_t base_total,
-              int32_t *act, int64_t *queue, int64_t *totals) {
+              int32_t *act, int64_t *queue,
+              const int64_t *cands, int64_t n_cands, int64_t *totals) {
     for (int64_t j = 0; j < n_cands; j++) {
         int64_t c = cands[j], total = base_total;
         for (int64_t k = 0; k < n_trials; k++) {
@@ -156,5 +164,51 @@ void ic_gains(const int64_t *indptr, const int64_t *indices, const double *w,
             for (int64_t i = 0; i < qlen; i++) act[queue[i]] = -1;
         }
         totals[j] = total;
+    }
+}
+
+/* ic_snapshot_gains builds, per trial, the live edges between nodes outside
+ * R_k(S) as a CSR over n nodes (live_ptr, n + 1; live_dst, as many as the
+ * graph's edges), hashing each of their coins once, and searches from every
+ * candidate over it. Edges into R_k(S) are never live for a search, so
+ * their coins are not hashed. */
+void ic_snapshot_gains(const int64_t *indptr, const int64_t *indices, const double *w,
+                       const uint64_t *trials, int64_t n_trials, uint64_t stream,
+                       const uint8_t *reach, int64_t stride, int64_t base_total,
+                       int32_t *act, int64_t *queue,
+                       int64_t n, int64_t *live_ptr, int64_t *live_dst,
+                       const int64_t *cands, int64_t n_cands, int64_t *totals) {
+    for (int64_t j = 0; j < n_cands; j++) totals[j] = base_total;
+    for (int64_t k = 0; k < n_trials; k++) {
+        const uint8_t *row = reach + k * stride;
+        uint64_t base = sm64(stream ^ sm64(trials[k]));
+        int64_t live = 0;
+        for (int64_t u = 0; u < n; u++) {
+            live_ptr[u] = live;
+            if (row[u]) continue;
+            for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
+                int64_t v = indices[e];
+                if (!row[v] && uniform(base, (uint64_t)e) < w[e]) live_dst[live++] = v;
+            }
+        }
+        live_ptr[n] = live;
+        for (int64_t j = 0; j < n_cands; j++) {
+            int64_t c = cands[j], qlen = 1;
+            if (row[c]) continue;
+            act[c] = 0;
+            queue[0] = c;
+            for (int64_t i = 0; i < qlen; i++) {
+                int64_t u = queue[i], end = live_ptr[u + 1];
+                for (int64_t e = live_ptr[u]; e < end; e++) {
+                    int64_t v = live_dst[e];
+                    if (act[v] < 0) {
+                        act[v] = 0;
+                        queue[qlen++] = v;
+                    }
+                }
+            }
+            totals[j] += qlen;
+            for (int64_t i = 0; i < qlen; i++) act[queue[i]] = -1;
+        }
     }
 }

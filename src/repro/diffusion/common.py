@@ -70,15 +70,29 @@ def integer_ids(nodes, what: str = "node") -> np.ndarray:
     return s.astype(np.int64, copy=False)
 
 
-def validate_nodes(n: int, nodes, what: str = "node") -> np.ndarray:
-    """``integer_ids``, range-checked against ``[0, n)``."""
-    s = integer_ids(nodes, what)
-    if s.size == 0:
-        return s
-    ends = np.sort(s)[[0, -1]]  # cheaper than min() and max() on short inputs
-    if ends[0] < 0 or ends[1] >= n:
+def checked_nodes(n: int, nodes, what: str = "node") -> np.ndarray | list:
+    """Node ids in ``[0, n)``: an int64 array for an ndarray, else a list.
+
+    An ndarray goes through ``integer_ids``. Any other input is checked
+    as the list ``_integer_list`` returns, with ``min`` and ``max``, so a
+    short list costs no NumPy conversion; its elements are ints or NumPy
+    integers. Either way, a non-integer or out-of-range id raises
+    ``ValueError`` naming ``what``.
+    """
+    if isinstance(nodes, np.ndarray):
+        ids = integer_ids(nodes, what)
+        ends = np.sort(ids)[[0, -1]] if ids.size else ()  # cheaper than min() and max()
+    else:
+        ids = _integer_list(nodes, what)
+        ends = (min(ids), max(ids)) if ids else ()
+    if len(ends) and (ends[0] < 0 or ends[1] >= n):
         raise ValueError(f"{what} out of range [0, {n})")
-    return s
+    return ids
+
+
+def validate_nodes(n: int, nodes, what: str = "node") -> np.ndarray:
+    """``checked_nodes`` as an int64 array, in the given order."""
+    return np.asarray(checked_nodes(n, nodes, what), np.int64)
 
 
 def validate_seeds(n: int, seeds) -> np.ndarray:
@@ -125,6 +139,25 @@ def validate_model(model: str) -> str:
     if model not in MODEL_NAMES:
         raise ValueError(f"model must be one of {MODEL_NAMES}, got {model!r}")
     return model
+
+
+def validate_csr(csr) -> tuple[np.ndarray, np.ndarray]:
+    """``csr``'s indptr and indices as contiguous int64, checked for the kernel.
+
+    The compiled kernel indexes memory with them unchecked, so an indptr
+    that is not ``(n + 1,)``, does not run from 0 to the number of
+    indices or decreases, or an index outside ``[0, n)``, raises
+    ``ValueError``.
+    """
+    ptr = np.ascontiguousarray(csr.indptr, np.int64)
+    dst = np.ascontiguousarray(csr.indices, np.int64)
+    if (
+        ptr.shape != (csr.n + 1,) or ptr[0] != 0 or ptr[-1] != dst.size
+        or (np.diff(ptr) < 0).any()
+        or (dst.size and (dst.min() < 0 or dst.max() >= csr.n))
+    ):
+        raise ValueError("malformed CSR graph: indptr or indices out of range")
+    return ptr, dst
 
 
 class Engine:

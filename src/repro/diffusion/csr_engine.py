@@ -22,8 +22,11 @@ there are trials, and runs each slice's compiled call on its own thread;
 ctypes releases the GIL for the call. Trials are independent and their
 coins counter-based, so the split changes no count. The threads live only
 for the call, so a process forked afterwards is safe. ``taskset`` or a
-cpuset lowers the thread count; there is no option for it. ``run``,
-``gains`` and the interpreted loop stay on the calling thread.
+cpuset lowers the thread count; there is no option for it. ``run`` and
+the interpreted loop stay on the calling thread, and so does ``gains``
+under IC: CELF's first pass is one compiled call over per-trial live-edge
+snapshots, and each lazy re-evaluation one ``ic_gains`` call of one
+candidate, a few microseconds of C, far less than starting threads.
 """
 from __future__ import annotations
 
@@ -45,7 +48,9 @@ import numpy as np
 from repro.diffusion.common import (
     DiffusionResult,
     Engine,
+    checked_nodes,
     trial_keys,
+    validate_csr,
     validate_nodes,
     validate_seeds,
 )
@@ -102,10 +107,14 @@ def _load_kernel() -> ctypes.CDLL | None:
         )
         return None
     p, i64 = ctypes.c_void_p, ctypes.c_int64
-    common = [p, p, p, p, i64, p, i64, ctypes.c_uint64]
-    lib.run_many.argtypes = common + [p, p, p, p, i64, p, p, p]
-    lib.ic_gains.argtypes = common + [p, i64, i64, p, p, p]
-    lib.run_many.restype = lib.ic_gains.restype = None
+    graph, trials = [p, p, p], [p, i64, ctypes.c_uint64]
+    lib.run_many.argtypes = graph + [p, i64] + trials + [p, p, p, p, i64, p, p, p]
+    # The gains calls share their leading arguments, which CSREngine binds
+    # once per base, and end with the candidates and their totals.
+    reach, cands = [p, i64, i64, p, p], [p, i64, p]
+    lib.ic_gains.argtypes = graph + trials + reach + cands
+    lib.ic_snapshot_gains.argtypes = graph + trials + reach + [i64, p, p] + cands
+    lib.run_many.restype = lib.ic_gains.restype = lib.ic_snapshot_gains.restype = None
     return lib
 
 
@@ -139,15 +148,7 @@ class CSREngine(Engine):
 
     def __init__(self, csr: CSRGraph, weights: np.ndarray, *, model: str = "ic") -> None:
         super().__init__(csr, weights, model=model)
-        # The compiled kernel indexes memory with these arrays unchecked.
-        ptr = self._indptr = np.ascontiguousarray(csr.indptr, np.int64)
-        dst = self._indices = np.ascontiguousarray(csr.indices, np.int64)
-        if (
-            ptr.shape != (csr.n + 1,) or ptr[0] != 0 or ptr[-1] != dst.size
-            or (np.diff(ptr) < 0).any()
-            or (dst.size and (dst.min() < 0 or dst.max() >= csr.n))
-        ):
-            raise ValueError("malformed CSR graph: indptr or indices out of range")
+        ptr, dst = self._indptr, self._indices = validate_csr(csr)
         # Addresses of arrays ``self`` keeps alive, bound once: each
         # ``ndarray.ctypes`` lookup costs microseconds, and CELF calls
         # ``gains`` thousands of times. ctypes refuses to pickle them.
@@ -156,8 +157,10 @@ class CSREngine(Engine):
         # call leaves all -1, a search queue, and the last base's reach.
         self._gains_lock = threading.Lock()
         self._seen, self._queue = np.full(csr.n, -1, np.int32), np.empty(csr.n, np.int64)
-        self._seen_at, self._queue_at = _address(self._seen), _address(self._queue)
         self._last_reach = None
+        # Out-degrees choose the gains call (see ``gains``).
+        self._degree = np.diff(ptr)
+        self._max_degree = int(self._degree.max()) if csr.n else 0
         if _LIB is None:  # run and run_many delegate to the interpreted loop
             self._interpreted = PurePythonEngine(csr, self.weights, model=model)
 
@@ -222,47 +225,80 @@ class CSREngine(Engine):
         """``spread(base + {c}, trial_seeds)`` for each candidate ``c``, in order.
 
         Under IC with the compiled kernel, all candidates and trials run in
-        one ``ic_gains`` call. Each trial's live edges are fixed by its
-        coins, so R_k(base + {c}) = R_k(base) + R_k(c): the reach R_k(base)
-        is marked once per distinct base by a compiled ``run_many`` call
+        one compiled call. Each trial's live edges are fixed by its coins,
+        so R_k(base + {c}) = R_k(base) + R_k(c): the reach R_k(base) is
+        marked once per distinct base by a compiled ``run_many`` call
         (trials x n bytes; only the last base is kept), and each
-        candidate's search stops where it enters it. The counts are the
-        same integers as ``run_many``'s, so the result equals ``spread``
-        bit for bit (while each candidate's total over the trials stays
-        below 2**53). LT, and both models when ``KERNEL`` is ``"python"``,
-        take the base-class loop over ``spread``: an incremental LT closure
-        would add incoming weights in another order.
+        candidate's search stops where it enters it.
+
+        The call is ``ic_snapshot_gains`` when the candidates' out-degrees
+        sum to at least the number of edges m, else ``ic_gains``. The first
+        hashes at most m coins per trial, once each, and searches live
+        edges only; the second hashes the coin of every edge a search
+        scans, so its searches scan at least the candidates' out-edges per
+        trial. CELF's first pass (every node a candidate) therefore takes
+        the snapshots, and a lazy re-evaluation (one candidate) ``ic_gains``.
+
+        Both count the same integers as ``run_many``, so the result equals
+        ``spread`` bit for bit (while each candidate's total over the
+        trials stays below 2**53). LT, and both models when ``KERNEL`` is
+        ``"python"``, take the base-class loop over ``spread``: an
+        incremental LT closure would add incoming weights in another order.
         """
         if self.model != "ic" or _LIB is None:
             return super().gains(base, candidates, trial_seeds)
-        cands = validate_nodes(self.csr.n, candidates, "candidate")
-        base = np.unique(validate_nodes(self.csr.n, base, "seed"))
+        n, m = self.csr.n, self.csr.m
+        cands = validate_nodes(n, candidates, "candidate")
+        base = checked_nodes(n, base, "seed")
         keys = trial_keys(trial_seeds)
-        totals = np.empty(cands.size, np.int64)
-        with self._gains_lock:
-            _LIB.ic_gains(
-                *self._graph, cands.ctypes.data, cands.size, *self._reach(base, keys),
-                self._seen_at, self._queue_at, totals.ctypes.data,
-            )
-        return totals / keys.size
+        snapshot = cands.size * self._max_degree >= m and self._degree[cands].sum() >= m
+        # NumPy divides by a float sooner than by an int, to the same value.
+        return self._totals(base, cands, keys, snapshot) / float(keys.size)
 
-    def _reach(self, base: np.ndarray, keys: np.ndarray) -> tuple:
-        """``ic_gains``'s trial and reach arguments for ``base`` over ``keys``.
+    def _totals(self, base, cands: np.ndarray, keys: np.ndarray, snapshot: bool) -> np.ndarray:
+        """Sum over the trials ``keys`` of |R_k(base + {c})| for each of ``cands``.
 
-        The marks R_k(base) are rebuilt, by the compiled ``run_many`` with a
-        reach matrix, only when ``base`` (unique and sorted) or the trial
-        block differs from the last call's. Called under ``_gains_lock``.
+        ``base`` and ``cands`` hold checked ids. The call is
+        ``ic_snapshot_gains`` if ``snapshot``, else ``ic_gains``; both give
+        the same int64 totals.
         """
-        tag = (base.tobytes(), keys.tobytes())
+        totals = np.empty(cands.size, np.int64)
+        # ctypes arrays over the data: cheaper per call than ndarray.ctypes.
+        args = (
+            (ctypes.c_int64 * cands.size).from_buffer_copy(cands), cands.size,
+            (ctypes.c_int64 * totals.size).from_buffer(totals),
+        )
+        with self._gains_lock:
+            bound = self._reach(base, keys)
+            if snapshot:
+                n = self.csr.n
+                live = np.empty(n + 1, np.int64), np.empty(self.csr.m, np.int64)
+                _LIB.ic_snapshot_gains(*bound, n, *map(_address, live), *args)
+            else:
+                _LIB.ic_gains(*bound, *args)
+        return totals
+
+    def _reach(self, base, keys: np.ndarray) -> tuple:
+        """The gains calls' leading arguments for the checked ``base`` over ``keys``.
+
+        They are the graph, the trials, the reach marks R_k(base) and the
+        search scratch, bound into one tuple. The marks are rebuilt, by the
+        compiled ``run_many`` with a reach matrix, only when the set of
+        ``base`` ids or the trial block differs from the last call's.
+        Called under ``_gains_lock``.
+        """
+        tag = (tuple(sorted(set(base))), keys.tobytes())
         if self._last_reach is None or self._last_reach[0] != tag:
-            n = self.csr.n
-            reach = np.zeros((keys.size, n) if base.size else n, np.uint8)
+            n, keys = self.csr.n, keys.copy()  # the caller may change its array later
+            seeds = np.array(tag[0], np.int64)
+            reach = np.zeros((keys.size, n) if seeds.size else n, np.uint8)
             counts = np.zeros(keys.size, np.int64)
-            if base.size:
-                self._kernel(base, keys, counts, reach)
-            args = (
-                _address(keys), keys.size, STREAM_IC_COIN,
-                _address(reach), n if base.size else 0, int(counts.sum()),
+            if seeds.size:
+                self._kernel(seeds, keys, counts, reach)
+            bound = (
+                *self._graph, _address(keys), keys.size, STREAM_IC_COIN,
+                _address(reach), n if seeds.size else 0, int(counts.sum()),
+                _address(self._seen), _address(self._queue),
             )
-            self._last_reach = (tag, keys, reach, args)  # keeps the addressed arrays alive
+            self._last_reach = (tag, keys, reach, bound)  # keeps the addressed arrays alive
         return self._last_reach[3]

@@ -39,7 +39,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, IntegerType, LongType, StructField, StructType
 
 from repro.diffusion.common import (
-    trial_keys, validate_model, validate_nodes, validate_seeds, validate_weights,
+    trial_keys, validate_csr, validate_model, validate_nodes, validate_seeds, validate_weights,
 )
 from repro.diffusion.csr_engine import CSREngine
 from repro.diffusion.rng import STREAM_IC_COIN, STREAM_LT_PICK, uniforms
@@ -121,10 +121,11 @@ def _gains_fanout(n: int, base, candidates, trial_seeds):
 class SparkTrialEngine:
     """Engine adapter running trial and candidate batches through Spark.
 
-    The constructor validates the weights and model on the driver, so bad
-    input raises ``ValueError`` before any job, then ships the graph with
-    one ``SparkContext.broadcast``; every call reuses it, so a Spark-backed
-    σ̂ inside CELF adds jobs but no broadcasts. ``run_many(seeds,
+    The constructor validates the CSR arrays, weights and model on the
+    driver, so bad input raises ``ValueError`` before any job or
+    broadcast, then ships the graph with one ``SparkContext.broadcast``;
+    every call reuses it, so a Spark-backed σ̂ inside CELF adds jobs but
+    no broadcasts. ``run_many(seeds,
     trial_seeds)`` returns the per-trial summary as pandas and ``spread``
     its mean; ``gains`` fans the candidates out in one job, each partition
     making one ``CSREngine.gains`` call per batch. :meth:`close` (or
@@ -136,10 +137,8 @@ class SparkTrialEngine:
     ) -> None:
         self.spark = spark
         self.csr = csr
-        self._graph = spark.sparkContext.broadcast(
-            (csr.n, csr.indptr, csr.indices, validate_weights(csr.m, weights),
-             validate_model(model))
-        )
+        graph = (csr.n, *validate_csr(csr), validate_weights(csr.m, weights), validate_model(model))
+        self._graph = spark.sparkContext.broadcast(graph)
 
     def __enter__(self) -> "SparkTrialEngine":
         return self

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.diffusion import CSREngine, csr_engine
+from repro.diffusion.common import checked_nodes, trial_keys, validate_nodes
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import edge_weights
 from repro.im import celf, make_sigma, trial_seed_block
 
-from tests.helpers import CountingLib, small_graphs, star
+from tests.helpers import CountingLib, from_edges, line, small_graphs, star
 
 @settings(max_examples=150, deadline=None)
 @given(
@@ -49,28 +50,109 @@ def test_celf_same_through_gains_and_plain_sigma(graph, data, base_seed):
 
 @pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
 def test_celf_first_pass_is_one_compiled_call(monkeypatch):
-    """n candidates cost one ic_gains call; each lazy re-evaluation one more."""
+    """n candidates cost one snapshot call; each lazy re-evaluation one ic_gains call."""
     lib = CountingLib(csr_engine._LIB)
     monkeypatch.setattr(csr_engine, "_LIB", lib)
     csr = build_csr(erdos_renyi(120, 0.05, seed=5))
     sigma = make_sigma(CSREngine(csr, edge_weights(csr, "WC", seed=6)), trial_seed_block(2, 30))
 
-    def sizes():  # args[4]: number of seeds or candidates
-        return [(call.name, call.args[4]) for call in lib.calls]
+    def sizes():  # args[-2] of a gains call: number of candidates
+        return [(call.name, call.args[-2]) for call in lib.calls if call.name != "run_many"]
 
     assert celf(sigma, range(csr.n), 1).n_evals == csr.n
-    assert sizes() == [("ic_gains", csr.n)]
+    assert sizes() == [("ic_snapshot_gains", csr.n)]
+    assert len(lib.calls) == 1
 
     lib.calls.clear()
     res = celf(sigma, range(csr.n), 4)
-    calls = sizes()
-    gains = [size for name, size in calls if name == "ic_gains"]
-    assert gains == [csr.n] + [1] * (res.n_evals - csr.n)
+    lazy = res.n_evals - csr.n
+    assert lazy > 0
+    assert sizes() == [("ic_snapshot_gains", csr.n)] + [("ic_gains", 1)] * lazy
     # R(S) is marked once per selection round after the first, not per evaluation,
     # by run_many with a reach matrix (args[11]).
     marks = [(call.args[4], bool(call.args[11])) for call in lib.calls if call.name == "run_many"]
     assert marks == [(1, True), (2, True), (3, True)]
-    assert {name for name, _ in calls} == {"ic_gains", "run_many"}
+
+
+def _both_totals(engine, base, cands, trials):
+    """Integer totals of ``ic_snapshot_gains`` and of ``ic_gains`` on the same inputs."""
+    base = checked_nodes(engine.csr.n, base, "seed")
+    cands = validate_nodes(engine.csr.n, cands, "candidate")
+    keys = trial_keys(trials)
+    return [engine._totals(base, cands, keys, snapshot).tolist() for snapshot in (True, False)]
+
+
+@pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
+@pytest.mark.parametrize(
+    "csr, base, cands, trials",
+    [
+        (from_edges(5, []), [], [0, 4, 4], [1, 2]),  # edgeless
+        (from_edges(5, []), [2], [2, 3], [7]),
+        (from_edges(6, [(0, 1), (1, 2), (2, 0)]), [], range(6), [3, 4, 5]),  # 3, 4, 5 isolated
+        (from_edges(6, [(0, 1), (1, 2), (2, 0)]), [1, 1], [1, 0, 4, 0], [3, 4]),
+        (star(5), [0], [0, 1, 0, 5], [9, 10, 11]),  # candidates inside the base, duplicates
+        (line(6), [], range(6), [2**64 - 1]),  # one trial
+        (line(6), [5, 2], range(6), [-1, 0, 1]),  # fewer trials than most machines' CPUs
+    ],
+    ids=["edgeless", "edgeless-base", "isolated", "isolated-base", "in-base-duplicates",
+         "one-trial", "few-trials"],
+)
+def test_snapshot_totals_equal_search_totals(csr, base, cands, trials):
+    """The snapshot path and ic_gains give the same integers, and those are spread's."""
+    e = CSREngine(csr, np.full(csr.m, 0.6))
+    snapshot, search = _both_totals(e, base, list(cands), trials)
+    assert snapshot == search
+    assert [t / len(trials) for t in snapshot] == [e.spread([*base, c], trials) for c in cands]
+
+
+@pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
+@settings(max_examples=150, deadline=None)
+@given(
+    graph=small_graphs(),
+    data=st.data(),
+    trials=st.lists(st.integers(-(2**63), 2**64 - 1), min_size=1, max_size=6),
+)
+def test_snapshot_totals_equal_search_totals_on_small_graphs(graph, data, trials):
+    csr, w, _ = graph
+    node = st.integers(0, csr.n - 1)
+    base = data.draw(st.lists(node, max_size=csr.n), label="base")
+    cands = data.draw(st.lists(node, max_size=csr.n), label="candidates")
+    snapshot, search = _both_totals(CSREngine(csr, w), base, cands, trials)
+    assert snapshot == search
+
+
+@pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
+def test_gains_takes_the_snapshot_path_by_out_degree(monkeypatch):
+    """Snapshots when the candidates' out-degrees sum to at least m, else ic_gains."""
+    lib = CountingLib(csr_engine._LIB)
+    monkeypatch.setattr(csr_engine, "_LIB", lib)
+    e = CSREngine(star(4), np.full(4, 0.5))  # m = 4: the hub has every out-edge
+    for cands, name in (([0], "ic_snapshot_gains"), ([1, 2, 3, 4], "ic_gains"),
+                        ([1, 0], "ic_snapshot_gains"), ([], "ic_gains")):
+        lib.calls.clear()
+        e.gains([], cands, [1, 2])
+        assert [call.name for call in lib.calls] == [name], cands
+    edgeless = CSREngine(from_edges(3, []), np.empty(0))
+    lib.calls.clear()
+    edgeless.gains([], [1], [1])
+    assert [call.name for call in lib.calls] == ["ic_snapshot_gains"]
+
+
+@pytest.mark.parametrize("where", ["base", "candidates"])
+@pytest.mark.parametrize(
+    "bad", [True, 1.0, np.uint64(2**63), np.float64(1.0), np.bool_(True)],
+    ids=["bool", "float", "uint64-2**63", "np-float", "np-bool"],
+)
+def test_cached_base_does_not_bypass_checks(where, bad):
+    """After a call caches base [1], ids equal to it in value still raise."""
+    e = CSREngine(star(3), np.full(3, 0.5))
+    block = [1, 2]
+    want = e.gains([1], [2], block)
+    for ids in ([bad], np.array([bad])):
+        args = (ids, [2]) if where == "base" else ([1], ids)
+        with pytest.raises(ValueError, match="must be integers|out of range"):
+            e.gains(*args, block)
+    assert e.gains([1], [2], block).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("model", ["ic", "lt"])

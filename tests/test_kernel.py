@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.diffusion import CSREngine, NDlibLikeEngine, PurePythonEngine, csr_engine
+from repro.diffusion.common import validate_csr
 from repro.graphs.csr import CSRGraph, build_csr
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import edge_weights, normalize_for_lt
@@ -299,6 +300,14 @@ class TestInputValidation:
         csr = CSRGraph(n=2, indptr=np.array(indptr), indices=np.array(indices))
         with pytest.raises(ValueError, match="malformed CSR"):
             CSREngine(csr, np.full(len(indices), 0.5))
+
+    def test_index_past_n_rejected_by_the_shared_check(self):
+        """The check ``CSREngine`` and ``SparkTrialEngine`` share, before any kernel call."""
+        csr = CSRGraph(n=3, indptr=np.array([0, 1, 2, 2]), indices=np.array([1, 9]))
+        with pytest.raises(ValueError, match="malformed CSR"):
+            validate_csr(csr)
+        with pytest.raises(ValueError, match="malformed CSR"):
+            CSREngine(csr, np.full(2, 0.5))
 
     def test_bounds_accepted(self):
         csr = star(4)

@@ -5,7 +5,7 @@ from pyspark.broadcast import Broadcast
 
 from repro.diffusion import make_engine
 from repro.diffusion.spark_engine import SparkTrialEngine, run_trials_df
-from repro.graphs.csr import build_csr
+from repro.graphs.csr import CSRGraph, build_csr
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import edge_weights, normalize_for_lt
 from repro.im.spread import marginal_gains_spark, trial_seed_block
@@ -163,6 +163,31 @@ def test_bad_ids_rejected_before_any_job(spark, workload, monkeypatch):
         local = make_engine("csr", csr, w)
         assert pdf["num_active"].tolist() == [local.run(seeds, t).num_active for t in (-3, 5)]
         assert list(sc.statusTracker().getJobIdsForGroup(group))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+
+
+def test_malformed_csr_rejected_before_any_broadcast(spark, monkeypatch):
+    """An index past n fails at construction on the driver: no broadcast, no job."""
+    csr = CSRGraph(n=3, indptr=np.array([0, 1, 2, 2]), indices=np.array([1, 9]))
+    w = np.full(2, 0.5)
+    sc = spark.sparkContext
+    made = []
+    real = sc.broadcast
+    monkeypatch.setattr(sc, "broadcast", lambda value: made.append(value) or real(value))
+    group = "test-malformed-csr"
+    sc.setJobGroup(group, "a malformed CSR must fail on the driver")
+    try:
+        for start in (
+            lambda: SparkTrialEngine(spark, csr, w),
+            lambda: run_trials_df(spark, csr, w, [0], [1]),
+            lambda: marginal_gains_spark(spark, csr, w, [0], [1]),
+        ):
+            with pytest.raises(ValueError, match="malformed CSR"):
+                start()
+        assert made == []
+        assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setLocalProperty("spark.job.description", None)
