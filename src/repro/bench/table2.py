@@ -157,7 +157,11 @@ def run_table2(
 
 
 def format_table2(rows: Sequence[Table2Row]) -> str:
-    """Render cells as a markdown table mirroring the paper's layout."""
+    """Render cells as a markdown table mirroring the paper's layout.
+
+    Our seconds get 3 significant digits, so a csr cell of a few
+    milliseconds does not read 0.00.
+    """
     lines = [
         "| EWM | backend | seconds (ours) | paper seconds | sigma-hat | evals | seeds |",
         "|---|---|---|---|---|---|---|",
@@ -165,7 +169,7 @@ def format_table2(rows: Sequence[Table2Row]) -> str:
     for r in rows:
         paper = f"{r.paper_seconds:.0f}" if r.paper_seconds is not None else "-"
         lines.append(
-            f"| {r.ewm} | {r.backend} | {r.seconds:.2f} | {paper} "
+            f"| {r.ewm} | {r.backend} | {r.seconds:.3g} | {paper} "
             f"| {r.sigma_value:.2f} | {r.n_evals} | {r.seeds} |"
         )
     return "\n".join(lines)

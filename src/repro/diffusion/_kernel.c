@@ -15,16 +15,15 @@
  * is the largest of them, so no function returns it.
  *
  * IC has one traversal, ic_search, which run_many and ic_gains share. The
- * gains calls serve CELF: a trial's live edges are fixed by its coins, so
+ * gains call serves CELF: a trial's live edges are fixed by its coins, so
  * its activated set is the set reachable from the seeds over them, and
  * R_k(S + {c}) = R_k(S) + R_k(c). run_many marks R_k(S) once per trial when
- * given a reach matrix; the gains calls then count, per candidate, only
- * the nodes a search from c reaches outside R_k(S). ic_gains puts
- * candidates in the outer loop, so a coin is hashed again by every search
- * that scans its edge; ic_snapshot_gains puts trials in the outer loop and
- * hashes each coin once per trial into that trial's live-edge graph (its
- * "snapshot", Kempe et al. 2003), which every candidate's search then
- * walks without hashing. Both give the same integer totals.
+ * given a reach matrix; ic_gains then counts, per trial and candidate, only
+ * the nodes a search from c reaches outside R_k(S). Given live-edge
+ * scratch, it first hashes each coin once per trial into that trial's
+ * live-edge graph (its "snapshot", Kempe et al. 2003), which every
+ * candidate's search then walks without hashing; without it, each search
+ * hashes the coin of every edge it scans. Both give the same integer totals.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -46,19 +45,24 @@ static int cmp_i64(const void *a, const void *b) {
 }
 
 /* Breadth-first search over live IC edges from queue[0..qlen), whose act
- * entries are set. It enters v when act[v] < 0 and v is not marked in skip
- * (if given), sets act[v] = act[u] + 1, appends v to queue and returns the
- * new queue length. The queue is FIFO, so round t's nodes are expanded in
- * the order they were activated and the last node has the largest time. */
+ * entries are set. It enters v when act[v] < 0, v is not marked in skip
+ * (if given) and, if coins, edge e's coin is below w[e]; it sets act[v] =
+ * act[u] + 1, appends v to queue and returns the new queue length. Without
+ * coins every edge is live and w is not read. Every caller passes coins as
+ * a literal, so inlining drops the test. The queue is FIFO, so round t's
+ * nodes are expanded in the order they were activated and the last node
+ * has the largest time. */
 static inline int64_t ic_search(const int64_t *indptr, const int64_t *indices,
-                                const double *w, uint64_t base, const uint8_t *skip,
-                                int32_t *act, int64_t *queue, int64_t qlen) {
+                                const double *w, uint64_t base, int coins,
+                                const uint8_t *skip, int32_t *act, int64_t *queue,
+                                int64_t qlen) {
     for (int64_t i = 0; i < qlen; i++) {
         int64_t u = queue[i], end = indptr[u + 1];
         int32_t t = act[u] + 1;
         for (int64_t e = indptr[u]; e < end; e++) {
             int64_t v = indices[e];
-            if (act[v] < 0 && !(skip && skip[v]) && uniform(base, (uint64_t)e) < w[e]) {
+            if (act[v] < 0 && !(skip && skip[v])
+                && (!coins || uniform(base, (uint64_t)e) < w[e])) {
                 act[v] = t;
                 queue[qlen++] = v;
             }
@@ -131,7 +135,7 @@ void run_many(const int64_t *indptr, const int64_t *indices, const double *w,
         }
         int64_t qlen = acc
             ? lt_search(indptr, indices, w, base, act, queue, n_seeds, acc, touched, cand)
-            : ic_search(indptr, indices, w, base, NULL, act, queue, n_seeds);
+            : ic_search(indptr, indices, w, base, 1, NULL, act, queue, n_seeds);
         counts[k] = qlen;
         if (reach)
             for (int64_t i = 0; i < qlen; i++) reach[k * n + queue[i]] = 1;
@@ -140,73 +144,45 @@ void run_many(const int64_t *indptr, const int64_t *indices, const double *w,
     }
 }
 
-/* The reach and trial arguments of both gains calls: row k of R_k(S) is at
- * reach + k * stride (stride 0 with one zero row for S = {}), and
- * base_total = sum over k of |R_k(S)|. Each sets totals[j] = sum over
- * trials k of |R_k(S + {cands[j]})|. act arrives all -1 and is left so.
- *
- * ic_gains searches from each candidate in turn, once per trial. */
+/* Row k of R_k(S) is at reach + k * stride (stride 0 with one zero row for
+ * S = {}), and base_total = sum over k of |R_k(S)|. Sets totals[j] = sum
+ * over trials k of |R_k(S + {cands[j]})|. act arrives all -1 and is left
+ * so. Trials are the outer loop. Given live_ptr (n + 1) and live_dst (as
+ * many as the graph's edges), each trial's live edges between nodes
+ * outside R_k(S) are built there as a CSR over n nodes, hashing each of
+ * their coins once, and the searches walk them; edges into R_k(S) are
+ * never live for a search, so their coins are not hashed. With live_ptr
+ * NULL, the searches hash the coins of the graph's edges as they scan. */
 void ic_gains(const int64_t *indptr, const int64_t *indices, const double *w,
               const uint64_t *trials, int64_t n_trials, uint64_t stream,
               const uint8_t *reach, int64_t stride, int64_t base_total,
               int32_t *act, int64_t *queue,
+              int64_t n, int64_t *live_ptr, int64_t *live_dst,
               const int64_t *cands, int64_t n_cands, int64_t *totals) {
-    for (int64_t j = 0; j < n_cands; j++) {
-        int64_t c = cands[j], total = base_total;
-        for (int64_t k = 0; k < n_trials; k++) {
-            const uint8_t *row = reach + k * stride;
-            if (row[c]) continue;
-            act[c] = 0;
-            queue[0] = c;
-            int64_t qlen = ic_search(indptr, indices, w, sm64(stream ^ sm64(trials[k])),
-                                     row, act, queue, 1);
-            total += qlen;
-            for (int64_t i = 0; i < qlen; i++) act[queue[i]] = -1;
-        }
-        totals[j] = total;
-    }
-}
-
-/* ic_snapshot_gains builds, per trial, the live edges between nodes outside
- * R_k(S) as a CSR over n nodes (live_ptr, n + 1; live_dst, as many as the
- * graph's edges), hashing each of their coins once, and searches from every
- * candidate over it. Edges into R_k(S) are never live for a search, so
- * their coins are not hashed. */
-void ic_snapshot_gains(const int64_t *indptr, const int64_t *indices, const double *w,
-                       const uint64_t *trials, int64_t n_trials, uint64_t stream,
-                       const uint8_t *reach, int64_t stride, int64_t base_total,
-                       int32_t *act, int64_t *queue,
-                       int64_t n, int64_t *live_ptr, int64_t *live_dst,
-                       const int64_t *cands, int64_t n_cands, int64_t *totals) {
     for (int64_t j = 0; j < n_cands; j++) totals[j] = base_total;
     for (int64_t k = 0; k < n_trials; k++) {
         const uint8_t *row = reach + k * stride;
         uint64_t base = sm64(stream ^ sm64(trials[k]));
-        int64_t live = 0;
-        for (int64_t u = 0; u < n; u++) {
-            live_ptr[u] = live;
-            if (row[u]) continue;
-            for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
-                int64_t v = indices[e];
-                if (!row[v] && uniform(base, (uint64_t)e) < w[e]) live_dst[live++] = v;
+        if (live_ptr) {
+            int64_t live = 0;
+            for (int64_t u = 0; u < n; u++) {
+                live_ptr[u] = live;
+                if (row[u]) continue;
+                for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
+                    int64_t v = indices[e];
+                    if (!row[v] && uniform(base, (uint64_t)e) < w[e]) live_dst[live++] = v;
+                }
             }
+            live_ptr[n] = live;
         }
-        live_ptr[n] = live;
         for (int64_t j = 0; j < n_cands; j++) {
-            int64_t c = cands[j], qlen = 1;
+            int64_t c = cands[j];
             if (row[c]) continue;
             act[c] = 0;
             queue[0] = c;
-            for (int64_t i = 0; i < qlen; i++) {
-                int64_t u = queue[i], end = live_ptr[u + 1];
-                for (int64_t e = live_ptr[u]; e < end; e++) {
-                    int64_t v = live_dst[e];
-                    if (act[v] < 0) {
-                        act[v] = 0;
-                        queue[qlen++] = v;
-                    }
-                }
-            }
+            int64_t qlen = live_ptr
+                ? ic_search(live_ptr, live_dst, NULL, 0, 0, NULL, act, queue, 1)
+                : ic_search(indptr, indices, w, base, 1, row, act, queue, 1);
             totals[j] += qlen;
             for (int64_t i = 0; i < qlen; i++) act[queue[i]] = -1;
         }

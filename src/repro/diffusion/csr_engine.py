@@ -24,9 +24,9 @@ coins counter-based, so the split changes no count. The threads live only
 for the call, so a process forked afterwards is safe. ``taskset`` or a
 cpuset lowers the thread count; there is no option for it. ``run`` and
 the interpreted loop stay on the calling thread, and so does ``gains``
-under IC: CELF's first pass is one compiled call over per-trial live-edge
-snapshots, and each lazy re-evaluation one ``ic_gains`` call of one
-candidate, a few microseconds of C, far less than starting threads.
+under IC: CELF's first pass is one ``ic_gains`` call over per-trial
+live-edge snapshots, and each lazy re-evaluation one ``ic_gains`` call of
+one candidate, a few microseconds of C, far less than starting threads.
 """
 from __future__ import annotations
 
@@ -109,12 +109,10 @@ def _load_kernel() -> ctypes.CDLL | None:
     p, i64 = ctypes.c_void_p, ctypes.c_int64
     graph, trials = [p, p, p], [p, i64, ctypes.c_uint64]
     lib.run_many.argtypes = graph + [p, i64] + trials + [p, p, p, p, i64, p, p, p]
-    # The gains calls share their leading arguments, which CSREngine binds
-    # once per base, and end with the candidates and their totals.
-    reach, cands = [p, i64, i64, p, p], [p, i64, p]
-    lib.ic_gains.argtypes = graph + trials + reach + cands
-    lib.ic_snapshot_gains.argtypes = graph + trials + reach + [i64, p, p] + cands
-    lib.run_many.restype = lib.ic_gains.restype = lib.ic_snapshot_gains.restype = None
+    # CSREngine binds ic_gains's arguments up to n once per base; then come
+    # the live-edge scratch, the candidates and their totals.
+    lib.ic_gains.argtypes = graph + trials + [p, i64, i64, p, p, i64] + [p, p] + [p, i64, p]
+    lib.run_many.restype = lib.ic_gains.restype = None
     return lib
 
 
@@ -231,18 +229,19 @@ class CSREngine(Engine):
         (trials x n bytes; only the last base is kept), and each
         candidate's search stops where it enters it.
 
-        The call is ``ic_snapshot_gains`` when the candidates' out-degrees
-        sum to at least the number of edges m, else ``ic_gains``. The first
-        hashes at most m coins per trial, once each, and searches live
-        edges only; the second hashes the coin of every edge a search
-        scans, so its searches scan at least the candidates' out-edges per
-        trial. CELF's first pass (every node a candidate) therefore takes
-        the snapshots, and a lazy re-evaluation (one candidate) ``ic_gains``.
+        The call is ``ic_gains``. It gets live-edge scratch, and so builds
+        each trial's snapshot, when the candidates' out-degrees sum to at
+        least the number of edges m. A snapshot hashes at most m coins per
+        trial, once each, and its searches walk live edges only; without
+        one, each search hashes the coin of every edge it scans, so the
+        searches scan at least the candidates' out-edges per trial. CELF's
+        first pass (every node a candidate) therefore takes the snapshots,
+        and a lazy re-evaluation (one candidate) does not.
 
-        Both count the same integers as ``run_many``, so the result equals
-        ``spread`` bit for bit (while each candidate's total over the
-        trials stays below 2**53). LT, and both models when ``KERNEL`` is
-        ``"python"``, take the base-class loop over ``spread``: an
+        Both modes count the same integers as ``run_many``, so the result
+        equals ``spread`` bit for bit (while each candidate's total over
+        the trials stays below 2**53). LT, and both models when ``KERNEL``
+        is ``"python"``, take the base-class loop over ``spread``: an
         incremental LT closure would add incoming weights in another order.
         """
         if self.model != "ic" or _LIB is None:
@@ -258,9 +257,9 @@ class CSREngine(Engine):
     def _totals(self, base, cands: np.ndarray, keys: np.ndarray, snapshot: bool) -> np.ndarray:
         """Sum over the trials ``keys`` of |R_k(base + {c})| for each of ``cands``.
 
-        ``base`` and ``cands`` hold checked ids. The call is
-        ``ic_snapshot_gains`` if ``snapshot``, else ``ic_gains``; both give
-        the same int64 totals.
+        ``base`` and ``cands`` hold checked ids. The call is one ``ic_gains``,
+        given live-edge scratch only if ``snapshot``; both modes give the
+        same int64 totals.
         """
         totals = np.empty(cands.size, np.int64)
         # ctypes arrays over the data: cheaper per call than ndarray.ctypes.
@@ -270,22 +269,21 @@ class CSREngine(Engine):
         )
         with self._gains_lock:
             bound = self._reach(base, keys)
-            if snapshot:
-                n = self.csr.n
-                live = np.empty(n + 1, np.int64), np.empty(self.csr.m, np.int64)
-                _LIB.ic_snapshot_gains(*bound, n, *map(_address, live), *args)
+            if snapshot:  # a live-edge CSR: n + 1 pointers, m targets
+                live = np.empty(self.csr.n + 1, np.int64), np.empty(self.csr.m, np.int64)
+                _LIB.ic_gains(*bound, *map(_address, live), *args)
             else:
-                _LIB.ic_gains(*bound, *args)
+                _LIB.ic_gains(*bound, None, None, *args)
         return totals
 
     def _reach(self, base, keys: np.ndarray) -> tuple:
-        """The gains calls' leading arguments for the checked ``base`` over ``keys``.
+        """``ic_gains``'s leading arguments for the checked ``base`` over ``keys``.
 
-        They are the graph, the trials, the reach marks R_k(base) and the
-        search scratch, bound into one tuple. The marks are rebuilt, by the
-        compiled ``run_many`` with a reach matrix, only when the set of
-        ``base`` ids or the trial block differs from the last call's.
-        Called under ``_gains_lock``.
+        They are the graph, the trials, the reach marks R_k(base), the
+        search scratch and the node count, bound into one tuple. The marks
+        are rebuilt, by the compiled ``run_many`` with a reach matrix, only
+        when the set of ``base`` ids or the trial block differs from the
+        last call's. Called under ``_gains_lock``.
         """
         tag = (tuple(sorted(set(base))), keys.tobytes())
         if self._last_reach is None or self._last_reach[0] != tag:
@@ -298,7 +296,7 @@ class CSREngine(Engine):
             bound = (
                 *self._graph, _address(keys), keys.size, STREAM_IC_COIN,
                 _address(reach), n if seeds.size else 0, int(counts.sum()),
-                _address(self._seen), _address(self._queue),
+                _address(self._seen), _address(self._queue), n,
             )
             self._last_reach = (tag, keys, reach, bound)  # keeps the addressed arrays alive
         return self._last_reach[3]

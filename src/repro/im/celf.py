@@ -22,6 +22,7 @@ set at a time. Both give the same values, picks and ``n_evals``.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -67,7 +68,9 @@ def celf(
         k: number of seeds.
         initial_gains: optional precomputed sigma({v}) for every
             candidate (e.g. computed in parallel on Spark). When absent,
-            the first pass evaluates them with one ``gains`` call.
+            the first pass evaluates them with one ``gains`` call. A
+            value that is not finite raises ``ValueError``: NaN compares
+            false with every gain and would corrupt the heap order.
 
     Ties break toward the smaller node id, matching ``greedy``.
     """
@@ -85,6 +88,9 @@ def celf(
         if missing:
             raise ValueError(f"initial_gains missing candidates, e.g. {missing[:3]}")
         first = [initial_gains[v] for v in cand]
+        bad = [v for v, g in zip(cand, first) if not math.isfinite(g)]
+        if bad:
+            raise ValueError(f"initial_gains not finite for candidates, e.g. {bad[:3]}")
     else:
         first = gains([], cand)
         n_evals += len(cand)

@@ -16,7 +16,8 @@ import numpy as np
 
 from repro.diffusion.common import trial_keys
 from repro.diffusion.rng import splitmix64_py
-# CELF's Spark first pass; it lives with the engine that owns the broadcast.
+# Re-exported for importers of repro.im.spread only: Table 2's Spark first
+# pass runs on SparkTrialEngine.gains.
 from repro.diffusion.spark_engine import marginal_gains_spark  # noqa: F401
 
 
@@ -26,10 +27,16 @@ def trial_seed_block(base_seed: int, n_trials: int) -> np.ndarray:
     Trial i of base seed b hashes the key ``(b << 20) + i`` (splitmix64),
     so blocks of different ``base_seed`` values never collide, keeping
     Monte-Carlo batches independent across experiments. That holds only
-    while i < 2**20, so longer blocks raise ``ValueError``.
+    while i < 2**20 and 0 <= b < 2**44 (the key is taken mod 2**64, so
+    b = -1 would alias b = 2**44 - 1), so other values raise ``ValueError``,
+    as does a negative ``n_trials``.
     """
+    if n_trials < 0:
+        raise ValueError(f"n_trials={n_trials} is negative")
     if n_trials > 1 << 20:
         raise ValueError(f"n_trials={n_trials} exceeds 2**20: blocks would overlap")
+    if not 0 <= base_seed < 1 << 44:
+        raise ValueError(f"base_seed={base_seed} is outside [0, 2**44): blocks would overlap")
     return np.asarray(
         [splitmix64_py((base_seed << 20) + i) >> 1 for i in range(n_trials)],
         dtype=np.int64,
@@ -54,12 +61,16 @@ class Sigma:
     sigma-hat(base + {c}) for many candidates in one ``engine.gains``
     call, which ``celf`` uses for its first pass and lazy re-evaluations.
     The block is stored as ``trial_keys``, so non-integer trial seeds
-    raise ``ValueError`` here and seeds of 2**63 and above are kept.
+    raise ``ValueError`` here and seeds of 2**63 and above are kept. An
+    empty block raises ``ValueError`` too: its mean is NaN, which no
+    selection can rank.
     """
 
     def __init__(self, engine, trial_seeds) -> None:
         self.engine = engine
         self.block = trial_keys(trial_seeds)
+        if self.block.size == 0:
+            raise ValueError("sigma-hat needs at least one trial seed")
 
     def __call__(self, seed_set: Sequence[int]) -> float:
         return self.engine.spread(seed_set, self.block)

@@ -25,6 +25,7 @@ from repro.bench.table1 import (
 )
 from repro.bench.table2 import (
     PAPER_TABLE2,
+    Table2Row,
     estimate_ndlib_celf_seconds,
     format_table2,
     run_table2,
@@ -205,6 +206,8 @@ class TestTable2Driver:
         rows = run_table2(backends=("csr",), n=60, k=2, mc=5)
         text = format_table2(rows)
         assert text.startswith("| EWM | backend |")
+        fast = Table2Row("TV", "csr", 0.0026, [1, 2], 3.5, 20, 2.0)
+        assert "| TV | csr | 0.0026 | 2 |" in format_table2([fast])
 
 
 def _env_reads(path: Path) -> set[str]:

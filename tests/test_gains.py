@@ -48,26 +48,39 @@ def test_celf_same_through_gains_and_plain_sigma(graph, data, base_seed):
     assert compiled.n_evals == plain.n_evals
 
 
+def _gains_calls(lib) -> list[tuple[str, bool, int]]:
+    """(name, live scratch given, number of candidates) of each call but run_many.
+
+    A gains call ends with (live_ptr, live_dst, cands, n_cands, totals);
+    its live scratch is given when both pointers are, and not at all when
+    both are NULL.
+    """
+    found = []
+    for call in lib.calls:
+        if call.name != "run_many":
+            live = {bool(a) for a in call.args[-5:-3]}
+            assert len(live) == 1, call.args[-5:-3]
+            found.append((call.name, live.pop(), call.args[-2]))
+    return found
+
+
 @pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
 def test_celf_first_pass_is_one_compiled_call(monkeypatch):
-    """n candidates cost one snapshot call; each lazy re-evaluation one ic_gains call."""
+    """n candidates cost one snapshot call; each lazy re-evaluation one call without."""
     lib = CountingLib(csr_engine._LIB)
     monkeypatch.setattr(csr_engine, "_LIB", lib)
     csr = build_csr(erdos_renyi(120, 0.05, seed=5))
     sigma = make_sigma(CSREngine(csr, edge_weights(csr, "WC", seed=6)), trial_seed_block(2, 30))
 
-    def sizes():  # args[-2] of a gains call: number of candidates
-        return [(call.name, call.args[-2]) for call in lib.calls if call.name != "run_many"]
-
     assert celf(sigma, range(csr.n), 1).n_evals == csr.n
-    assert sizes() == [("ic_snapshot_gains", csr.n)]
+    assert _gains_calls(lib) == [("ic_gains", True, csr.n)]
     assert len(lib.calls) == 1
 
     lib.calls.clear()
     res = celf(sigma, range(csr.n), 4)
     lazy = res.n_evals - csr.n
     assert lazy > 0
-    assert sizes() == [("ic_snapshot_gains", csr.n)] + [("ic_gains", 1)] * lazy
+    assert _gains_calls(lib) == [("ic_gains", True, csr.n)] + [("ic_gains", False, 1)] * lazy
     # R(S) is marked once per selection round after the first, not per evaluation,
     # by run_many with a reach matrix (args[11]).
     marks = [(call.args[4], bool(call.args[11])) for call in lib.calls if call.name == "run_many"]
@@ -75,7 +88,7 @@ def test_celf_first_pass_is_one_compiled_call(monkeypatch):
 
 
 def _both_totals(engine, base, cands, trials):
-    """Integer totals of ``ic_snapshot_gains`` and of ``ic_gains`` on the same inputs."""
+    """Integer totals of ``ic_gains`` with and without snapshots on the same inputs."""
     base = checked_nodes(engine.csr.n, base, "seed")
     cands = validate_nodes(engine.csr.n, cands, "candidate")
     keys = trial_keys(trials)
@@ -123,19 +136,20 @@ def test_snapshot_totals_equal_search_totals_on_small_graphs(graph, data, trials
 
 @pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
 def test_gains_takes_the_snapshot_path_by_out_degree(monkeypatch):
-    """Snapshots when the candidates' out-degrees sum to at least m, else ic_gains."""
+    """Snapshots when the candidates' out-degrees sum to at least m, else none."""
     lib = CountingLib(csr_engine._LIB)
     monkeypatch.setattr(csr_engine, "_LIB", lib)
     e = CSREngine(star(4), np.full(4, 0.5))  # m = 4: the hub has every out-edge
-    for cands, name in (([0], "ic_snapshot_gains"), ([1, 2, 3, 4], "ic_gains"),
-                        ([1, 0], "ic_snapshot_gains"), ([], "ic_gains")):
+    for cands, live in (([0], True), ([1, 2, 3, 4], False), ([1, 0], True), ([], False)):
         lib.calls.clear()
         e.gains([], cands, [1, 2])
-        assert [call.name for call in lib.calls] == [name], cands
+        assert _gains_calls(lib) == [("ic_gains", live, len(cands))], cands
+        assert len(lib.calls) == 1
     edgeless = CSREngine(from_edges(3, []), np.empty(0))
     lib.calls.clear()
     edgeless.gains([], [1], [1])
-    assert [call.name for call in lib.calls] == ["ic_snapshot_gains"]
+    assert _gains_calls(lib) == [("ic_gains", True, 1)]
+    assert len(lib.calls) == 1
 
 
 @pytest.mark.parametrize("where", ["base", "candidates"])

@@ -46,6 +46,22 @@ class TestTrialSeedBlock:
             trial_seed_block(0, 2**20 + 1)
         assert hashed == []
 
+    def test_negative_length_rejected(self):
+        """It used to return an empty block."""
+        with pytest.raises(ValueError, match="negative"):
+            trial_seed_block(0, -1)
+
+    @pytest.mark.parametrize("base", [-1, 2**44, -(2**44)])
+    def test_base_outside_key_space_rejected(self, base):
+        """Base -1 used to give base 2**44 - 1's block: the keys wrap mod 2**64."""
+        with pytest.raises(ValueError, match="outside"):
+            trial_seed_block(base, 3)
+
+    def test_key_space_bounds_accepted(self):
+        last = trial_seed_block(2**44 - 1, 3)
+        assert not set(last.tolist()) & set(trial_seed_block(0, 3).tolist())
+        assert trial_seed_block(5, 0).shape == (0,)
+
 
 class TestEstimateSpread:
     def test_bounds(self, setup):
@@ -74,6 +90,13 @@ class TestSigma:
         """[1.5, 2.7] used to run the block [1, 2]."""
         *_, engine, _ = setup
         with pytest.raises(ValueError, match="trial seeds must be integers"):
+            make_sigma(engine, trials)
+
+    @pytest.mark.parametrize("trials", [[], np.array([], np.int64)], ids=["list", "array"])
+    def test_empty_trial_block_rejected(self, setup, trials):
+        """Its mean is NaN: CELF picked seeds by id with σ̂ NaN, and greedy crashed."""
+        *_, engine, _ = setup
+        with pytest.raises(ValueError, match="at least one trial"):
             make_sigma(engine, trials)
 
     def test_trial_seeds_above_int64_accepted(self, setup):
@@ -156,6 +179,13 @@ class TestCELF:
         *_, sigma = setup
         with pytest.raises(ValueError, match="missing"):
             celf(sigma, range(10), 2, initial_gains={0: 1.0})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64("nan")])
+    def test_initial_gains_not_finite_rejected(self, bad):
+        """{0: nan, 1: 1.0, 2: 1.0} used to pick [1, 0]."""
+        with pytest.raises(ValueError, match=r"not finite for candidates, e.g. \[0\]"):
+            celf(lambda s: float(len(set(s))), [0, 1, 2], 2,
+                 initial_gains={0: bad, 1: 1.0, 2: 1.0})
 
     def test_k_validation(self, setup):
         *_, sigma = setup

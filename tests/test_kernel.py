@@ -107,6 +107,19 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_kernel_has_no_dead_statics():
+    """Each static function of ``_kernel.c`` is used outside its definition.
+
+    ``-Wall`` flags an unused static function only when it is not inline,
+    so the compile above misses a dead ``static inline`` search.
+    """
+    code = re.sub(r"/\*.*?\*/", "", csr_engine._SOURCE.read_text(), flags=re.S)
+    statics = re.findall(r"^static\b[^(]*?\b(\w+)\(", code, re.M)
+    assert {"ic_search", "lt_search"} <= set(statics), statics
+    for name in statics:
+        assert len(re.findall(rf"\b{name}\b", code)) > 1, f"{name} is never used"
+
+
 _BUILD_CHILD = """
 import json, sys, time
 time.sleep(max(0.0, float(sys.argv[1]) - time.time()))
