@@ -86,7 +86,7 @@ def simple_benchmark(
                 mean_spread=spread,
             )
         )
-    spreads = {round(r.mean_spread, 9) for r in out}
+    spreads = {r.mean_spread for r in out}
     if len(spreads) != 1:
         raise AssertionError(f"engines disagree on mean spread: {out}")
     return out

@@ -18,7 +18,10 @@ Every engine offers ``run(seeds, trial_seed)``, ``run_many(seeds,
 trial_seeds)``, ``spread(seeds, trial_seeds)`` and ``gains(base,
 candidates, trial_seeds)``; the local ones share the
 :class:`~repro.diffusion.common.Engine` base, which validates the weights
-and model and supplies the trial loop, ``spread`` and ``gains``.
+and model and supplies ``spread`` and ``gains``. Its ``run`` and
+``run_many`` check the seeds and trial seeds once per call and loop the
+engine's ``_run``, which each interpreted engine implements once for both
+models; the CSR engine overrides both with its compiled kernel.
 :mod:`repro.diffusion.exact` provides brute-force ground-truth influence
 for statistical tests.
 """

@@ -164,11 +164,14 @@ class Engine:
     """The engine contract: ``run``, ``run_many``, ``spread`` and ``gains``.
 
     The constructor validates and stores the graph, weights and model.
-    Subclasses implement ``run(seeds, trial_seed)``; the default
-    ``run_many`` loops it over the trial seeds, ``spread`` is the mean of
-    ``run_many`` and ``gains`` loops ``spread`` over the candidates, so a
-    compiled engine only overrides ``run_many`` and, where it can batch
-    candidates, ``gains``.
+    ``run`` and ``run_many`` own the input checks: they validate the seeds
+    and key the trial seeds once per call, then call ``_run(seeds, key)``
+    per trial with a sorted list of distinct int seeds and an int key.
+    Each interpreted engine implements ``_run`` once, for both models,
+    returning the trial's activation times as a list. ``spread`` is the
+    mean of ``run_many`` and ``gains`` loops ``spread`` over the
+    candidates, so a compiled engine overrides ``run`` and ``run_many``
+    and, where it can batch candidates, ``gains``.
     """
 
     def __init__(self, csr, weights, *, model: str = "ic") -> None:
@@ -178,14 +181,22 @@ class Engine:
 
     def run(self, seeds, trial_seed: int) -> DiffusionResult:
         """Run one trial; deterministic in ``trial_seed``."""
-        raise NotImplementedError
+        seeds = validate_seeds(self.csr.n, seeds).tolist()
+        key = int(trial_keys([trial_seed])[0])
+        return DiffusionResult(np.asarray(self._run(seeds, key), np.int32))
 
     def run_many(self, seeds, trial_seeds) -> np.ndarray:
         """Activated-node counts, one per trial seed."""
+        seeds = validate_seeds(self.csr.n, seeds).tolist()
+        n = self.csr.n
         return np.array(
-            [self.run(seeds, t).num_active for t in trial_keys(trial_seeds).tolist()],
+            [n - self._run(seeds, k).count(-1) for k in trial_keys(trial_seeds).tolist()],
             np.int64,
         )
+
+    def _run(self, seeds: list[int], key: int) -> list[int]:
+        """One trial's activation times (-1 for never), per node id."""
+        raise NotImplementedError
 
     def spread(self, seeds, trial_seeds) -> float:
         """Mean activated-node count over ``trial_seeds``."""

@@ -8,7 +8,7 @@ performs, so the baseline is slow for the *same reasons* NDlib is:
 1. **Per-simulation configuration.** NDlib's ``set_initial_status`` walks
    every node and every edge applying the model configuration into nested
    parameter dicts; running N independent simulations re-applies it N
-   times. ``run`` therefore rebuilds the nested params dict each trial.
+   times. ``_run`` therefore rebuilds the nested params dict each trial.
 2. **Full node scan per time step.** Every iteration loops over *all* n
    nodes to find the active ones — a step costs Omega(n) even when one
    node is active.
@@ -24,12 +24,18 @@ removed; an active node tries its neighbors once, reading the *previous*
 iteration's statuses, then retires). Coins come from the shared
 counter-based stream, so the final activated set is bit-identical to
 every other engine for any ``trial_seed``.
+
+As NDlib's models share one ``DiffusionModel`` iteration and each adds
+only its node update, ``_run`` is one trial loop for IC and LT that
+branches on the model per active node. ``Engine.run`` and
+``Engine.run_many`` check the seeds and trial seeds once per call and
+call it per trial.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.diffusion.common import DiffusionResult, Engine, trial_keys, validate_seeds
+from repro.diffusion.common import Engine
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
     STREAM_LT_THRESHOLD,
@@ -81,23 +87,15 @@ class NDlibLikeEngine(Engine):
                 edge_weight[(u, v)] = self._edge_weights[(u, v)]
         return params
 
-    def run(self, seeds, trial_seed: int) -> DiffusionResult:
-        """Run one trial; same activated set as every other engine."""
-        seeds = validate_seeds(self.n, seeds)
-        trial_seed = int(trial_keys([trial_seed])[0])
-        params = self._apply_configuration()
-        if self.model == "ic":
-            return self._run_ic(seeds, trial_seed, params)
-        return self._run_lt(seeds, trial_seed, params)
-
-    def _run_ic(
-        self, seeds: np.ndarray, trial_seed: int, params: dict
-    ) -> DiffusionResult:
-        coins = ScalarCoins(STREAM_IC_COIN, trial_seed)
-        edge_weight = params["edges"]["weight"]
+    def _run(self, seeds: list[int], key: int) -> list[int]:
+        """One trial's activation times; same activated set as every other engine."""
+        ic = self.model == "ic"
+        coins = ScalarCoins(STREAM_IC_COIN if ic else STREAM_LT_THRESHOLD, key)
+        edge_weight = self._apply_configuration()["edges"]["weight"]
         status = {u: _SUSCEPTIBLE for u in range(self.n)}
         act_time = [-1] * self.n
-        for s in seeds.tolist():
+        acc = None if ic else [0.0] * self.n
+        for s in seeds:
             status[s] = _ACTIVE
             act_time[s] = 0
         t = 0
@@ -105,14 +103,26 @@ class NDlibLikeEngine(Engine):
             # NDlib iteration: snapshot the whole status dict, scan every
             # node, mutate the snapshot, then diff old vs new.
             actual_status = dict(status)
+            touched: set[int] = set()
             for u in range(self.n):
                 if status[u] != _ACTIVE:
                     continue
-                for v, eid in self.adj[u].items():
-                    if status[v] == _SUSCEPTIBLE:
-                        if coins.u(eid) < edge_weight[(u, v)]:
-                            actual_status[v] = _ACTIVE
+                # An active node tries (IC) or pushes its weight to (LT) its
+                # susceptible out-neighbors exactly once, then retires.
+                if ic:
+                    for v, eid in self.adj[u].items():
+                        if status[v] == _SUSCEPTIBLE:
+                            if coins.u(eid) < edge_weight[(u, v)]:
+                                actual_status[v] = _ACTIVE
+                else:
+                    for v in self.adj[u]:
+                        if status[v] == _SUSCEPTIBLE:
+                            acc[v] += edge_weight[(u, v)]
+                            touched.add(v)
                 actual_status[u] = _REMOVED
+            for v in sorted(touched):  # LT threshold tests; empty under IC
+                if actual_status[v] == _SUSCEPTIBLE and acc[v] >= coins.u(v):
+                    actual_status[v] = _ACTIVE
             # status_delta: full comparison pass over all nodes
             delta = {
                 u: actual_status[u]
@@ -127,47 +137,4 @@ class NDlibLikeEngine(Engine):
                     act_time[v] = t
             if not any(st == _ACTIVE for st in status.values()):
                 break
-        return DiffusionResult(np.asarray(act_time, np.int32))
-
-    def _run_lt(
-        self, seeds: np.ndarray, trial_seed: int, params: dict
-    ) -> DiffusionResult:
-        thresholds = ScalarCoins(STREAM_LT_THRESHOLD, trial_seed)
-        edge_weight = params["edges"]["weight"]
-        status = {u: _SUSCEPTIBLE for u in range(self.n)}
-        act_time = [-1] * self.n
-        acc = [0.0] * self.n
-        for s in seeds.tolist():
-            status[s] = _ACTIVE
-            act_time[s] = 0
-        t = 0
-        while True:
-            actual_status = dict(status)
-            touched: set[int] = set()
-            # Full scan; active nodes push their weight to out-neighbors
-            # exactly once, then retire (stay counted as activated).
-            for u in range(self.n):
-                if status[u] != _ACTIVE:
-                    continue
-                for v in self.adj[u]:
-                    if status[v] == _SUSCEPTIBLE:
-                        acc[v] += edge_weight[(u, v)]
-                        touched.add(v)
-                actual_status[u] = _REMOVED
-            for v in sorted(touched):
-                if actual_status[v] == _SUSCEPTIBLE and acc[v] >= thresholds.u(v):
-                    actual_status[v] = _ACTIVE
-            delta = {
-                u: actual_status[u]
-                for u in status
-                if status[u] != actual_status[u]
-            }
-            newly = [u for u, st in delta.items() if st == _ACTIVE]
-            status = actual_status
-            if newly:
-                t += 1
-                for v in newly:
-                    act_time[v] = t
-            if not any(st == _ACTIVE for st in status.values()):
-                break
-        return DiffusionResult(np.asarray(act_time, np.int32))
+        return act_time

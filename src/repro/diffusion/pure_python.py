@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.diffusion.common import DiffusionResult, Engine, trial_keys, validate_seeds
+from repro.diffusion.common import Engine
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
     STREAM_LT_THRESHOLD,
@@ -36,55 +36,38 @@ class PurePythonEngine(Engine):
             [(dsts[e], e, wl[e]) for e in range(ptr[u], ptr[u + 1])] for u in range(csr.n)
         ]
 
-    def run(self, seeds, trial_seed: int) -> DiffusionResult:
-        """Run one trial; bit-identical to the CSR engine per trial_seed."""
-        seeds = validate_seeds(self.n, seeds)
-        trial_seed = int(trial_keys([trial_seed])[0])
-        if self.model == "ic":
-            return self._run_ic(seeds, trial_seed)
-        return self._run_lt(seeds, trial_seed)
-
-    def _run_ic(self, seeds: np.ndarray, trial_seed: int) -> DiffusionResult:
-        coins = ScalarCoins(STREAM_IC_COIN, trial_seed)
+    def _run(self, seeds: list[int], key: int) -> list[int]:
+        """One trial's activation times; bit-identical to the CSR engine per key."""
+        ic = self.model == "ic"
+        # IC flips one coin per edge tried, LT draws one threshold per node.
+        coins = ScalarCoins(STREAM_IC_COIN if ic else STREAM_LT_THRESHOLD, key)
         act_time = [-1] * self.n
-        frontier = seeds.tolist()
-        for s in frontier:
+        acc = None if ic else [0.0] * self.n
+        for s in seeds:
             act_time[s] = 0
-        t = 0
+        frontier, t = seeds, 0
         while frontier:
             t += 1
             newly: list[int] = []
-            for u in frontier:
-                for v, eid, w in self.adj[u]:
-                    if act_time[v] < 0 and coins.u(eid) < w:
+            if ic:
+                for u in frontier:
+                    for v, eid, w in self.adj[u]:
+                        if act_time[v] < 0 and coins.u(eid) < w:
+                            act_time[v] = t
+                            newly.append(v)
+            else:
+                # Candidates = every inactive node that received weight this
+                # round (it may also hold weight from earlier rounds; nodes
+                # receiving nothing new cannot newly cross their threshold).
+                touched: set[int] = set()
+                for u in frontier:
+                    for v, _eid, w in self.adj[u]:
+                        if act_time[v] < 0:
+                            acc[v] += w
+                            touched.add(v)
+                for v in sorted(touched):
+                    if acc[v] >= coins.u(v):
                         act_time[v] = t
                         newly.append(v)
             frontier = newly
-        return DiffusionResult(np.asarray(act_time, np.int32))
-
-    def _run_lt(self, seeds: np.ndarray, trial_seed: int) -> DiffusionResult:
-        thresholds = ScalarCoins(STREAM_LT_THRESHOLD, trial_seed)
-        act_time = [-1] * self.n
-        acc = [0.0] * self.n
-        frontier = seeds.tolist()
-        for s in frontier:
-            act_time[s] = 0
-        t = 0
-        while frontier:
-            t += 1
-            # Candidates = every inactive node that received weight this
-            # round (it may also hold weight from earlier rounds; nodes
-            # receiving nothing new cannot newly cross their threshold).
-            touched: set[int] = set()
-            for u in frontier:
-                for v, _eid, w in self.adj[u]:
-                    if act_time[v] < 0:
-                        acc[v] += w
-                        touched.add(v)
-            newly: list[int] = []
-            for v in sorted(touched):
-                if acc[v] >= thresholds.u(v):
-                    act_time[v] = t
-                    newly.append(v)
-            frontier = newly
-        return DiffusionResult(np.asarray(act_time, np.int32))
+        return act_time

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from repro.im.greedy import distinct_candidates
 
 
@@ -68,9 +70,11 @@ def celf(
         k: number of seeds.
         initial_gains: optional precomputed sigma({v}) for every
             candidate (e.g. computed in parallel on Spark). When absent,
-            the first pass evaluates them with one ``gains`` call. A
-            value that is not finite raises ``ValueError``: NaN compares
-            false with every gain and would corrupt the heap order.
+            the first pass evaluates them with one ``gains`` call.
+
+    A first-pass or lazy value that is not finite, computed or supplied,
+    raises ``ValueError`` naming the candidate: NaN compares false with
+    every gain and would corrupt the heap order.
 
     Ties break toward the smaller node id, matching ``greedy``.
     """
@@ -88,13 +92,15 @@ def celf(
         if missing:
             raise ValueError(f"initial_gains missing candidates, e.g. {missing[:3]}")
         first = [initial_gains[v] for v in cand]
-        bad = [v for v, g in zip(cand, first) if not math.isfinite(g)]
-        if bad:
-            raise ValueError(f"initial_gains not finite for candidates, e.g. {bad[:3]}")
     else:
         first = gains([], cand)
         n_evals += len(cand)
-    heap = [(-float(g), v, 1) for v, g in zip(cand, first, strict=True)]
+    first = np.asarray(first, np.float64)
+    bad = ~np.isfinite(first)
+    if bad.any():
+        bad = np.compress(bad, cand)[:3].tolist()
+        raise ValueError(f"sigma not finite for candidates, e.g. {bad}")
+    heap = [(-g, v, 1) for v, g in zip(cand, first.tolist(), strict=True)]
     heapq.heapify(heap)
 
     chosen: list[int] = []
@@ -110,7 +116,10 @@ def celf(
                 current += -neg_gain
                 values.append(current)
                 break
-            fresh = float(gains(chosen, [v])[0]) - current
+            val = float(gains(chosen, [v])[0])
+            if not math.isfinite(val):
+                raise ValueError(f"sigma not finite for candidate {v} after {chosen}: {val}")
+            fresh = val - current
             n_evals += 1
             heapq.heappush(heap, (-fresh, v, round_no))
     return CELFResult(seeds=chosen, sigma_values=values, n_evals=n_evals)

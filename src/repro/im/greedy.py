@@ -7,6 +7,7 @@ sigma evaluations CELF saves.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,7 +40,12 @@ def distinct_candidates(candidates: Sequence[int]) -> list[int]:
 def greedy(
     sigma: Callable[[Sequence[int]], float], candidates: Sequence[int], k: int
 ) -> GreedyResult:
-    """Select k seeds maximizing sigma greedily (ties -> smallest node id)."""
+    """Select k seeds maximizing sigma greedily (ties -> smallest node id).
+
+    A sigma value that is not finite raises ``ValueError`` naming the
+    candidate: NaN compares false with every value, so it could never be
+    picked nor beaten.
+    """
     remaining = distinct_candidates(candidates)
     if k <= 0 or k > len(remaining):
         raise ValueError(f"need 0 < k <= {len(remaining)}")
@@ -48,10 +54,12 @@ def greedy(
     n_evals = 0
     current = 0.0
     for _ in range(k):
-        best_node, best_val = None, -1.0
+        best_node, best_val = None, -math.inf
         for v in remaining:
             val = sigma(chosen + [v])
             n_evals += 1
+            if not math.isfinite(val):
+                raise ValueError(f"sigma not finite for candidate {v}: {val}")
             if val > best_val:
                 best_node, best_val = v, val
         chosen.append(best_node)

@@ -149,6 +149,19 @@ class TestGreedy:
         with pytest.raises(ValueError, match="candidates must be integers"):
             greedy(sigma, cands, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sigma_not_finite_rejected(self, bad):
+        """A NaN used to raise ``list.remove(x): x not in list``: nothing beat it."""
+        with pytest.raises(ValueError, match="sigma not finite for candidate 0"):
+            greedy(lambda s: bad, [0, 1], 1)
+
+    def test_negative_sigma_picks_smallest_id(self):
+        """A best value starting at -1.0 used to leave -5.0 unpicked."""
+        res = greedy(lambda s: -5.0, [0, 1], 1)
+        assert (res.seeds, res.sigma_values) == ([0], [-5.0])
+        res = greedy(lambda s: -5.0 - sum(s), [2, 0, 1], 2)
+        assert (res.seeds, res.sigma_values) == ([0, 1], [-5.0, -6.0])
+
 
 class TestCELF:
     def test_matches_greedy_exactly(self, setup):
@@ -186,6 +199,18 @@ class TestCELF:
         with pytest.raises(ValueError, match=r"not finite for candidates, e.g. \[0\]"):
             celf(lambda s: float(len(set(s))), [0, 1, 2], 2,
                  initial_gains={0: bad, 1: 1.0, 2: 1.0})
+
+    @pytest.mark.parametrize("bad, node", [(np.nan, 0), (np.inf, 2), (-np.inf, 1)])
+    def test_first_pass_not_finite_rejected(self, bad, node):
+        """NaN on node 0 used to pick [1, 0] with sigma-hat [1.0, nan], inf on 2 [2, 0]."""
+        with pytest.raises(ValueError, match=rf"not finite for candidates, e.g. \[{node}\]"):
+            celf(lambda s: bad if node in s else float(len(s)), [0, 1, 2], 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_lazy_value_not_finite_rejected(self, bad):
+        """Singletons are finite, so only the lazy re-evaluation of 1 sees ``bad``."""
+        with pytest.raises(ValueError, match=r"not finite for candidate 1 after \[0\]"):
+            celf(lambda s: bad if len(s) > 1 and 1 in s else float(len(s)), [0, 1, 2], 2)
 
     def test_k_validation(self, setup):
         *_, sigma = setup

@@ -277,6 +277,19 @@ class TestInputValidation:
             with pytest.raises(ValueError, match="seeds must be integers"):
                 e.run_many(seeds, [1, 2])
 
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    @pytest.mark.parametrize(
+        "seeds", [[5], [-1], [], [1.5], [True]],
+        ids=["past-n", "negative", "empty", "float", "bool"],
+    )
+    def test_seeds_checked_before_an_empty_block(self, seeds, model):
+        """The interpreted engines used to return ``[]`` without looking at the seeds."""
+        csr = star(4)
+        for engine in (CSREngine, PurePythonEngine, NDlibLikeEngine):
+            e = engine(csr, np.full(csr.m, 0.5), model=model)
+            with pytest.raises(ValueError, match="seed"):
+                e.run_many(seeds, [])
+
     @pytest.mark.parametrize(
         "trials",
         [[1.5], [True], np.array([1.0, 2.0]), np.array([True]), [np.float64(2.0)], ["3"]],
