@@ -10,9 +10,17 @@
  *
  * queue holds activated nodes in activation order; the frontier of round
  * t is the slice the previous round appended. Seeds must be unique and
- * ascending. The last trial's nodes are not reset, so on return act holds
- * its activation times (-1 for inactive nodes); its number of iterations
- * is the largest of them, so no function returns it.
+ * ascending. LT sorts each new frontier ascending with sort_ids: insertion
+ * sort below 32 ids, else an LSD radix sort over 8-bit digits of ids below
+ * n, buffered in cand, which is free once the round's thresholds are read.
+ *
+ * Several calls may share one block: each claims its next trial index
+ * from a shared counter (a relaxed atomic add), so no call waits on a
+ * fixed slice. A NULL counter means every trial, in order. Each trial
+ * resets the previous trial's nodes before it starts, so on return act
+ * holds the activation times (-1 for inactive nodes) of the last trial the
+ * call ran; its number of iterations is the largest of them, so no
+ * function returns it.
  *
  * IC has one traversal, ic_search, which run_many and ic_gains share. The
  * gains call serves CELF: a trial's live edges are fixed by its coins, so
@@ -26,7 +34,7 @@
  * hashes the coin of every edge it scans. Both give the same integer totals.
  */
 #include <stdint.h>
-#include <stdlib.h>
+#include <string.h>
 
 static inline uint64_t sm64(uint64_t x) {
     x += 0x9E3779B97F4A7C15ULL;
@@ -39,9 +47,27 @@ static inline double uniform(uint64_t base, uint64_t id) {
     return (double)(sm64(base + id) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-static int cmp_i64(const void *a, const void *b) {
-    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
-    return (x > y) - (x < y);
+/* Sorts ids[0..len), each in [0, n), ascending; buf holds len ids. */
+static inline void sort_ids(int64_t *ids, int64_t len, int64_t *buf, int64_t n) {
+    if (len < 32) {
+        for (int64_t i = 1; i < len; i++) {
+            int64_t v = ids[i], j = i;
+            for (; j > 0 && ids[j - 1] > v; j--) ids[j] = ids[j - 1];
+            ids[j] = v;
+        }
+        return;
+    }
+    int64_t *src = ids, *dst = buf;
+    for (int shift = 0; shift < 64 && (uint64_t)(n - 1) >> shift; shift += 8) {
+        int64_t at[257] = {0};
+        for (int64_t i = 0; i < len; i++) at[((src[i] >> shift) & 255) + 1]++;
+        for (int d = 0; d < 256; d++) at[d + 1] += at[d];
+        for (int64_t i = 0; i < len; i++) dst[at[(src[i] >> shift) & 255]++] = src[i];
+        int64_t *t = src;
+        src = dst;
+        dst = t;
+    }
+    if (src != ids) memcpy(ids, src, (size_t)len * sizeof(int64_t));
 }
 
 /* Breadth-first search over live IC edges from queue[0..qlen), whose act
@@ -76,26 +102,29 @@ static inline int64_t ic_search(const int64_t *indptr, const int64_t *indices,
  * order and each node's edges in CSR order, so the floating-point sums
  * equal the interpreted engines'. While it runs, act[v] == -2 marks a node
  * that holds weight and -3 a node that received weight this round; both
- * count as inactive. Returns the queue length, with acc all zero again and
- * every act entry -1 or a time. */
+ * count as inactive. touched and cand are appended without a branch: each
+ * write lands one past the list's end and counts only for a new entry; a
+ * seed never lands there, so neither index passes n - 1. Returns the queue
+ * length, with acc all zero again and every act entry -1 or a time. */
 static inline int64_t lt_search(const int64_t *indptr, const int64_t *indices,
                                 const double *w, uint64_t base, int32_t *act,
-                                int64_t *queue, int64_t qlen,
+                                int64_t *queue, int64_t qlen, int64_t n,
                                 double *acc, int64_t *touched, int64_t *cand) {
     int64_t lo = 0, n_touched = 0;
     for (int32_t t = 0; lo < qlen; t++) {
         int64_t hi = qlen, n_cand = 0;
         for (int64_t i = lo; i < hi; i++) {
-            int64_t u = queue[i];
-            for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
+            int64_t u = queue[i], end = indptr[u + 1];
+            for (int64_t e = indptr[u]; e < end; e++) {
                 int64_t v = indices[e];
-                if (act[v] >= 0) continue;
+                int32_t a = act[v];
+                if (a >= 0) continue;
                 acc[v] += w[e];
-                if (act[v] == -1) touched[n_touched++] = v;
-                if (act[v] != -3) {
-                    act[v] = -3;
-                    cand[n_cand++] = v;
-                }
+                touched[n_touched] = v;
+                n_touched += a == -1;
+                cand[n_cand] = v;
+                n_cand += a != -3;
+                act[v] = -3;
             }
         }
         for (int64_t i = 0; i < n_cand; i++) {
@@ -107,7 +136,7 @@ static inline int64_t lt_search(const int64_t *indptr, const int64_t *indices,
                 act[v] = -2;
             }
         }
-        qsort(queue + hi, (size_t)(qlen - hi), sizeof(int64_t), cmp_i64);
+        sort_ids(queue + hi, qlen - hi, cand, n);
         lo = hi;
     }
     for (int64_t i = 0; i < n_touched; i++) {
@@ -118,29 +147,36 @@ static inline int64_t lt_search(const int64_t *indptr, const int64_t *indices,
     return qlen;
 }
 
-/* If reach is given (n_trials x n bytes, arriving zeroed), row k marks
- * R_k(seeds). Given LT's scratch (acc, n doubles arriving zeroed, and
- * touched and cand, n each), the trials run under LT, else under IC. */
+/* The next trial to run: claimed from *next if given, else k. */
+static inline int64_t claim(int64_t *next, int64_t k) {
+    return next ? __atomic_fetch_add(next, 1, __ATOMIC_RELAXED) : k;
+}
+
+/* Runs the trials it claims from *next, or all of them in order if next is
+ * NULL, writing counts[k] for each trial k it runs. If reach is given
+ * (n_trials x n bytes, arriving zeroed), row k marks R_k(seeds). Given
+ * LT's scratch (acc, n doubles arriving zeroed, and touched and cand, n
+ * each), the trials run under LT, else under IC. */
 void run_many(const int64_t *indptr, const int64_t *indices, const double *w,
               const int64_t *seeds, int64_t n_seeds,
               const uint64_t *trials, int64_t n_trials, uint64_t stream,
               int32_t *act, int64_t *queue, int64_t *counts,
               uint8_t *reach, int64_t n,
-              double *acc, int64_t *touched, int64_t *cand) {
-    for (int64_t k = 0; k < n_trials; k++) {
+              double *acc, int64_t *touched, int64_t *cand, int64_t *next) {
+    int64_t qlen = 0;
+    for (int64_t k = claim(next, 0); k < n_trials; k = claim(next, k + 1)) {
+        for (int64_t i = 0; i < qlen; i++) act[queue[i]] = -1;
         uint64_t base = sm64(stream ^ sm64(trials[k]));
         for (int64_t i = 0; i < n_seeds; i++) {
             act[seeds[i]] = 0;
             queue[i] = seeds[i];
         }
-        int64_t qlen = acc
-            ? lt_search(indptr, indices, w, base, act, queue, n_seeds, acc, touched, cand)
+        qlen = acc
+            ? lt_search(indptr, indices, w, base, act, queue, n_seeds, n, acc, touched, cand)
             : ic_search(indptr, indices, w, base, 1, NULL, act, queue, n_seeds);
         counts[k] = qlen;
         if (reach)
             for (int64_t i = 0; i < qlen; i++) reach[k * n + queue[i]] = 1;
-        if (k < n_trials - 1)
-            for (int64_t i = 0; i < qlen; i++) act[queue[i]] = -1;
     }
 }
 

@@ -16,22 +16,26 @@ kernel in use: ``"c"``, or ``"python"`` when the library cannot be built
 or loaded; only then ``run`` and ``run_many`` delegate to the bit-identical
 ``PurePythonEngine`` loop, and one ``RuntimeWarning`` gives the reason.
 
-``run_many`` cuts its trial block into contiguous slices, one per CPU in
-the process's affinity mask (``os.sched_getaffinity``) and never more than
-there are trials, and runs each slice's compiled call on its own thread;
-ctypes releases the GIL for the call. Trials are independent and their
-coins counter-based, so the split changes no count. The threads live only
-for the call, so a process forked afterwards is safe. ``taskset`` or a
-cpuset lowers the thread count; there is no option for it. ``run`` and
-the interpreted loop stay on the calling thread, and so does ``gains``
-under IC: CELF's first pass is one ``ic_gains`` call over per-trial
-live-edge snapshots, and each lazy re-evaluation one ``ic_gains`` call of
-one candidate, a few microseconds of C, far less than starting threads.
+``run_many`` starts one compiled call per CPU in the process's affinity
+mask (``os.sched_getaffinity``), never more than there are trials, each on
+its own thread; ctypes releases the GIL for the call. Every call gets the
+whole block and claims trials one at a time from a shared counter until
+none is left, so a call that draws slow trials takes fewer of them; there
+are no fixed slices. Trials are independent and their coins
+counter-based, so which call runs a trial changes no count. The threads
+live only for the call, so a process forked afterwards is safe.
+``taskset`` or a cpuset lowers the thread count; there is no option for
+it. ``run`` and the interpreted loop stay on the calling thread, and so
+does ``gains`` under IC: CELF's first pass is one ``ic_gains`` call over
+per-trial live-edge snapshots, and each lazy re-evaluation one
+``ic_gains`` call of one candidate, a few microseconds of C, far less
+than starting threads.
 """
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import hashlib
 import os
 import shlex
@@ -108,7 +112,7 @@ def _load_kernel() -> ctypes.CDLL | None:
         return None
     p, i64 = ctypes.c_void_p, ctypes.c_int64
     graph, trials = [p, p, p], [p, i64, ctypes.c_uint64]
-    lib.run_many.argtypes = graph + [p, i64] + trials + [p, p, p, p, i64, p, p, p]
+    lib.run_many.argtypes = graph + [p, i64] + trials + [p, p, p, p, i64, p, p, p, p]
     # CSREngine binds ic_gains's arguments up to n once per base; then come
     # the live-edge scratch, the candidates and their totals.
     lib.ic_gains.argtypes = graph + trials + [p, i64, i64, p, p, i64] + [p, p] + [p, i64, p]
@@ -120,15 +124,14 @@ _LIB = _load_kernel()
 KERNEL = "python" if _LIB is None else "c"
 
 
-def _slices(n_trials: int) -> list[slice]:
-    """Contiguous, non-empty slices of a trial block, one per usable CPU.
+def _threads(n_trials: int) -> int:
+    """Threads for a block of ``n_trials``: one per usable CPU, at most one per trial.
 
     The CPUs are those the process may run on (its affinity mask, so
     ``taskset`` and cpusets lower the count), read on every call.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    k = min(n_trials, cpus or 1)
-    return [slice(i * n_trials // k, (i + 1) * n_trials // k) for i in range(k)]
+    return min(n_trials, cpus or 1)
 
 
 def _address(a: np.ndarray) -> ctypes.c_void_p:
@@ -173,13 +176,13 @@ class CSREngine(Engine):
     def run_many(self, seeds, trial_seeds) -> np.ndarray:
         """Activated-node counts for many trials, one per ``trial_seeds``.
 
-        The compiled kernel runs contiguous slices of the block
-        (``_slices``) on one thread each, started and joined within the
-        call; each slice has its own scratch and fills a disjoint part of
-        the result. Coins are the per-trial counter streams, so every
-        trial's count is bit-identical to ``run(seeds,
-        trial_seeds[k]).num_active`` however the block is split (asserted
-        in tests).
+        ``_threads`` compiled calls run the block, one per thread, started
+        and joined within the call. Each call has its own scratch and
+        claims trials from one shared counter, writing each claimed
+        trial's count, until the block is done. Coins are the per-trial
+        counter streams, so every trial's count is bit-identical to
+        ``run(seeds, trial_seeds[k]).num_active`` whichever call runs it
+        (asserted in tests).
         """
         if _LIB is None:
             return self._interpreted.run_many(seeds, trial_seeds)
@@ -188,22 +191,27 @@ class CSREngine(Engine):
         counts = np.empty(keys.size, np.int64)
         if keys.size == 0:
             return counts
-        first, *rest = _slices(keys.size)
-        with ThreadPoolExecutor(max_workers=len(rest) or 1) as pool:
-            others = [pool.submit(self._kernel, seeds, keys[s], counts[s]) for s in rest]
-            self._kernel(seeds, keys[first], counts[first])
-            for done in others:
+        claimed = np.zeros(1, np.int64)  # the next trial index to claim
+        kernel = functools.partial(self._kernel, seeds, keys, counts, claimed)
+        others = _threads(keys.size) - 1
+        with ThreadPoolExecutor(max_workers=others or 1) as pool:
+            calls = [pool.submit(kernel) for _ in range(others)]
+            kernel()
+            for done in calls:
                 done.result()
         return counts
 
-    def _kernel(self, seeds, keys, counts, reach=None) -> np.ndarray:
-        """One compiled ``run_many`` call over ``keys``, filling ``counts``.
+    def _kernel(self, seeds, keys, counts, claimed=None, reach=None) -> np.ndarray:
+        """One compiled ``run_many`` call over the block ``keys``, filling ``counts``.
 
-        Under IC, a ``(len(keys), n)`` uint8 ``reach`` of zeros gets row k
-        marked with trial k's activated nodes; under LT the call gets LT's
-        scratch. The scratch arrays are the call's own, so calls may run
-        concurrently on disjoint ``counts``. Returns the last trial's
-        ``(n,)`` int32 activation times.
+        With ``claimed`` (a one-element int64 counter shared by concurrent
+        calls), the call runs the trials it claims from it; without, it
+        runs every trial in order. Under IC, a ``(len(keys), n)`` uint8
+        ``reach`` of zeros gets row k marked with trial k's activated
+        nodes; under LT the call gets LT's scratch. The scratch arrays are
+        the call's own, so calls may share ``counts`` and ``claimed``.
+        Returns the ``(n,)`` int32 activation times of the last trial the
+        call ran.
         """
         n = self.csr.n
         act = np.full(n, -1, np.int32)
@@ -212,10 +220,11 @@ class CSREngine(Engine):
         if self.model == "lt":  # accumulated weight, touched nodes, this round's candidates
             scratch = np.zeros(n, np.float64), np.empty(n, np.int64), np.empty(n, np.int64)
             stream, lt = STREAM_LT_THRESHOLD, [a.ctypes.data for a in scratch]
-        marks = (None, 0) if reach is None else (reach.ctypes.data, n)
         _LIB.run_many(
             *self._graph, seeds.ctypes.data, seeds.size, keys.ctypes.data, keys.size, stream,
-            act.ctypes.data, queue.ctypes.data, counts.ctypes.data, *marks, *lt,
+            act.ctypes.data, queue.ctypes.data, counts.ctypes.data,
+            None if reach is None else reach.ctypes.data, n, *lt,
+            None if claimed is None else claimed.ctypes.data,
         )
         return act
 
@@ -292,7 +301,7 @@ class CSREngine(Engine):
             reach = np.zeros((keys.size, n) if seeds.size else n, np.uint8)
             counts = np.zeros(keys.size, np.int64)
             if seeds.size:
-                self._kernel(seeds, keys, counts, reach)
+                self._kernel(seeds, keys, counts, reach=reach)
             bound = (
                 *self._graph, _address(keys), keys.size, STREAM_IC_COIN,
                 _address(reach), n if seeds.size else 0, int(counts.sum()),

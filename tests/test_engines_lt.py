@@ -13,7 +13,12 @@ from tests.helpers import from_edges, line, star
 GRAPHS = {
     "er": build_csr(erdos_renyi(150, 0.04, seed=1)),
     "ws": build_csr(watts_strogatz(120, 6, 0.2, seed=2)),
+    "er300": build_csr(erdos_renyi(300, 0.08, seed=3)),
 }
+# "er300" has n > 256, so the kernel's radix sort of a new frontier takes
+# two 8-bit digits; with every fifth node seeded, each result below has a
+# round of at least 32 new nodes (radix sort) and one of 1-31 (insertion).
+SEEDS = {"er": [0, 7, 23], "ws": [0, 7, 23], "er300": list(range(0, 300, 5))}
 
 
 @pytest.mark.parametrize("gname", list(GRAPHS))
@@ -22,15 +27,46 @@ GRAPHS = {
 def test_all_engines_bit_identical_lt(gname, ewm, trial):
     csr = GRAPHS[gname]
     w = normalize_for_lt(csr, edge_weights(csr, ewm, seed=4))
-    seeds = [0, 7, 23]
+    seeds = SEEDS[gname]
     results = {
         kind: make_engine(kind, csr, w, model="lt").run(seeds, trial)
         for kind in ENGINE_KINDS
     }
     ref = results["csr"]
+    if gname == "er300":
+        rounds = ref.frontier_sizes()[1:]
+        assert (rounds >= 32).any() and ((rounds > 0) & (rounds < 32)).any(), rounds
     for kind in ENGINE_KINDS:
         assert np.array_equal(results[kind].activation_time, ref.activation_time), kind
         assert results[kind].num_iterations == ref.num_iterations, kind
+
+
+@pytest.mark.parametrize("width", [6, 40], ids=["insertion", "radix"])
+@pytest.mark.parametrize("trial", [0, 5, 999])
+def test_ascending_frontier_decides_a_rounding_tie(width, trial):
+    """Node 258's incoming sum reaches its threshold only if it adds in
+    ascending frontier order.
+
+    Seed 0 activates ``width`` nodes in round 1, listed with 257 first;
+    nodes 10 and 20 each give 258 a weight s below half an ulp of A, and
+    257 gives A, the double just below the threshold. In ascending order
+    (s + s) + A rounds up to the threshold; (A + s) + s, the order of an
+    unsorted frontier or one sorted on the low byte of the ids only, stays
+    at A. Frontiers of 6 and 40 nodes take the insertion and the radix sort.
+    """
+    v, p, q, r = 258, 10, 20, 257
+    theta = uniform_one(STREAM_LT_THRESHOLD, trial, v)
+    big = float(np.nextafter(theta, 0.0))
+    small = (theta - big) * (0.5 - 2.0**-11)
+    assert (small + small) + big == theta and (big + small) + small == big
+    frontier = [r, p, q, *[u for u in range(1, width + 2) if u not in (p, q)][: width - 3]]
+    edges = [(0, u) for u in frontier] + [(p, v), (q, v), (r, v)]
+    csr = from_edges(v + 1, edges)
+    w = np.array([1.0] * len(frontier) + [small, small, big])
+    for kind in ENGINE_KINDS:
+        t = make_engine(kind, csr, w, model="lt").run([0], trial).activation_time
+        assert t[v] == 2, kind
+        assert (t[frontier] == 1).all() and (t >= 0).sum() == width + 2, kind
 
 
 @pytest.mark.parametrize("kind", ENGINE_KINDS)

@@ -259,6 +259,27 @@ class TestCELF:
         assert c.sigma_values[-1] == pytest.approx(sigma(list(range(8))))
 
 
+def test_k_equals_n_through_gains_and_a_plain_callable():
+    """k == n on a whole small graph: every node once, whichever way sigma is called."""
+    csr = build_csr(erdos_renyi(15, 0.25, seed=7))
+    sigma = make_sigma(make_engine("csr", csr, edge_weights(csr, "WC")), trial_seed_block(4, 100))
+
+    def plain(seeds):  # no ``gains``, so one seed set per call
+        return sigma(seeds)
+
+    nodes = list(range(csr.n))
+    batched, single = celf(sigma, nodes, csr.n), celf(plain, nodes, csr.n)
+    assert sorted(batched.seeds) == nodes
+    assert (batched.seeds, batched.sigma_values, batched.n_evals) == (
+        single.seeds, single.sigma_values, single.n_evals)
+    assert batched.sigma_values[-1] == pytest.approx(csr.n)
+    eager = greedy(sigma, nodes, csr.n)
+    assert eager == greedy(plain, nodes, csr.n)
+    assert sorted(eager.seeds) == nodes
+    assert eager.sigma_values[-1] == csr.n
+    assert eager.n_evals == csr.n * (csr.n + 1) // 2
+
+
 @pytest.mark.parametrize("select", [greedy, celf])
 def test_bools_mixed_with_ints_rejected(setup, select):
     """NumPy casts ``[True, 3]`` to ``[1, 3]``, so a bool would stand for node 1."""

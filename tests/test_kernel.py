@@ -3,6 +3,7 @@ import ctypes
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from repro.graphs.weights import edge_weights, normalize_for_lt
 from repro.im.spread import trial_seed_block
 
 from tests.helpers import from_edges, star
+from tests.test_engines_lt import GRAPHS as LT_GRAPHS, SEEDS as LT_SEEDS
 
 REPO = Path(__file__).resolve().parents[1]
 HAVE_CC = shutil.which(csr_engine._compiler()[0]) is not None
@@ -154,6 +156,64 @@ def test_concurrent_first_builds_agree(tmp_path):
     (lib,) = (cache / "repro").iterdir()  # one library, no temporary files left
     assert lib.name.startswith("kernel-") and lib.suffix == ".so"
     assert _tree(REPO) == before
+
+
+_SANITIZED_CHILD = """
+import json, threading
+from repro.diffusion import csr_engine
+from tests.test_kernel import sanitized_counts
+got = {}
+callers = [threading.Thread(target=lambda i=i: got.update({i: sanitized_counts()}))
+           for i in range(3)]
+for t in callers:
+    t.start()
+for t in callers:
+    t.join()
+print(json.dumps([csr_engine.KERNEL, [got[i] for i in range(3)]]))
+"""
+
+
+def sanitized_counts() -> dict[str, list[int]]:
+    """IC and LT ``run_many`` counts on the LT tests' ``er300`` input, whose
+    LT frontiers take both branches of the kernel's sort."""
+    csr, seeds = LT_GRAPHS["er300"], LT_SEEDS["er300"]
+    w = edge_weights(csr, "WC", seed=4)
+    block = trial_seed_block(22, 64)
+    return {m: CSREngine(csr, w, model=m).run_many(seeds, block).tolist() for m in ("ic", "lt")}
+
+
+def _links_ubsan(cc: list[str], tmp_path: Path) -> bool:
+    src = tmp_path / "probe.c"
+    src.write_text("int probe(int x) { return x + 1; }\n")
+    done = subprocess.run(
+        [*cc, "-fsanitize=undefined", *csr_engine._CFLAGS, "-o", str(tmp_path / "probe.so"),
+         str(src)], capture_output=True,
+    )
+    return done.returncode == 0
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_ubsan_kernel_matches(tmp_path):
+    """A kernel built with UBSan, aborting on the first report, gives the same counts.
+
+    Three Python threads each run an IC and an LT block, each block on
+    several kernel threads that claim trials from one counter.
+    """
+    cc = csr_engine._compiler()
+    if not _links_ubsan(cc, tmp_path):
+        pytest.skip("the C compiler cannot link -fsanitize=undefined")
+    sanitized = shlex.join([*cc, "-fsanitize=undefined", "-fno-sanitize-recover=all"])
+    cache = tmp_path / "cache"
+    done = subprocess.run(
+        [sys.executable, "-c", _SANITIZED_CHILD], env=_child_env(cache, CC=sanitized),
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    kernel, counts = json.loads(done.stdout)
+    assert kernel == "c"
+    assert len(list((cache / "repro").glob("kernel-*.so"))) == 1
+    want = sanitized_counts()
+    assert counts == [want] * 3
 
 
 _FORK_CHILD = """

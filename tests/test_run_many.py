@@ -171,25 +171,48 @@ def _engine(model):
     return CSREngine(csr, normalize_for_lt(csr, w) if model == "lt" else w, model=model)
 
 
+def _assert_claimed(monkeypatch, engine, seeds, block):
+    """min(T, cpus) kernel calls, one on the caller's thread, each over the
+    whole block with the same counts and the same claim counter; every
+    count is that trial's own run."""
+    want = [engine.run(seeds, t).num_active for t in block]
+    lib = CountingLib(csr_engine._LIB)
+    monkeypatch.setattr(csr_engine, "_LIB", lib)
+    counts, calls = engine.run_many(seeds, block), lib.calls
+    assert {call.name for call in calls} == {"run_many"}
+    assert len(calls) == min(len(block), CPUS)
+    assert [call.thread for call in calls].count(threading.get_ident()) == 1
+    trials_at, counter_at = calls[0].args[5], calls[0].args[16]
+    assert counter_at is not None
+    for call in calls:
+        assert call.args[6] == len(block)  # the whole block
+        assert (call.args[5], call.args[10], call.args[16]) == (
+            trials_at, counts.ctypes.data, counter_at)
+    assert counts.tolist() == want
+
+
 @pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
 @pytest.mark.parametrize("model", ["ic", "lt"])
 @pytest.mark.parametrize("length", sorted({1, CPUS - 1, CPUS, CPUS + 1, 3 * CPUS + 1} - {0}))
 def test_block_runs_as_one_call_per_cpu(monkeypatch, model, length):
-    """min(T, cpus) kernel calls over contiguous slices; the caller's thread runs one."""
-    lib = CountingLib(csr_engine._LIB)
-    monkeypatch.setattr(csr_engine, "_LIB", lib)
-    counts = _engine(model).run_many([0, 3], trial_seed_block(12, length))
-    calls = sorted(lib.calls, key=lambda call: call.args[10])  # by counts address
-    assert {call.name for call in calls} == {"run_many"}
-    assert len(calls) == min(length, CPUS)
-    assert [call.thread for call in calls].count(threading.get_ident()) == 1
-    sizes = [call.args[6] for call in calls]
-    assert sum(sizes) == length and max(sizes) - min(sizes) <= 1
-    # Each slice's trials and counts start where the previous slice's end.
-    trials_at, counts_at = calls[0].args[5], counts.ctypes.data
-    for call, size in zip(calls, sizes):
-        assert (call.args[5], call.args[10]) == (trials_at, counts_at)
-        trials_at, counts_at = trials_at + 8 * size, counts_at + 8 * size
+    """min(T, cpus) kernel calls claim the block's trials; the caller's thread runs one."""
+    _assert_claimed(monkeypatch, _engine(model), [0, 3], trial_seed_block(12, length).tolist())
+
+
+@pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_skewed_block_runs_as_one_call_per_cpu(monkeypatch, model):
+    """One trial floods a 3000-node line and the rest stop at the seed."""
+    n = 3000
+    csr = line(n)
+    w = np.ones(csr.m)
+    w[0] = 0.5  # the coin or threshold of node 1 decides the trial
+    engine = CSREngine(csr, w, model=model)
+    trials = trial_seed_block(14, 200).tolist()
+    sizes = {t: engine.run([0], t).num_active for t in trials}
+    flood = next(t for t in trials if sizes[t] == n)
+    block = [flood] + [t for t in trials if sizes[t] == 1][: 3 * CPUS]
+    _assert_claimed(monkeypatch, engine, [0], block)
 
 
 def test_concurrent_callers_get_serial_results():
