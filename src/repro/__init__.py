@@ -2,9 +2,10 @@
 
 Subpackages (see DESIGN.md for the full map):
 
-* ``repro.graphs`` — generators, CSR storage, edge-weight models, Spark I/O.
-* ``repro.diffusion`` — IC/LT engines (NumPy CSR, pure Python, NDlib-like,
-  Spark) over one shared deterministic coin stream, plus exact oracles.
+* ``repro.graphs`` — generators, CSR storage, edge-weight models.
+* ``repro.diffusion`` — IC/LT engines (compiled C over CSR, pure Python,
+  NDlib-like, Spark fan-out) over one shared deterministic coin stream,
+  plus exact oracles.
 * ``repro.im`` — spread estimation, greedy, CELF.
 * ``repro.analysis`` — heatmap / activation-curve analytics (demo data).
 * ``repro.bench`` — ``simple_benchmark`` and the Table 1/2 drivers.

@@ -3,8 +3,9 @@
 The paper colors each node by how many of many simulations activated it
 (seed nodes come out at frequency 1.0). Input is the exploded activation
 table from :func:`repro.diffusion.spark_engine.run_trials_df` with
-``output="activations"``; the aggregation is a plain relational job that
-the DuckDB oracle verifies in tests.
+``output="activations"``; it is left-joined onto a node table built from
+``spark.range(n)``, so never-activated nodes appear too. The aggregation
+is a plain relational job that the DuckDB oracle verifies in tests.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graphs.csr import CSRGraph
-from repro.graphs.spark_io import nodes_df
 
 
 def activation_counts_df(
@@ -26,7 +26,8 @@ def activation_counts_df(
     """
     counts = activations.groupBy("node").agg(F.count("*").alias("activations"))
     return (
-        nodes_df(spark, csr)
+        spark.range(csr.n)
+        .withColumnRenamed("id", "node")
         .join(counts, "node", "left")
         .select(
             "node",

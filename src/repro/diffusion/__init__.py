@@ -1,4 +1,4 @@
-"""Diffusion engines (S5-S11 in DESIGN.md).
+"""Diffusion engines (S5-S9 and S11 in DESIGN.md).
 
 Four engine families share one deterministic counter-based coin stream
 (:mod:`repro.diffusion.rng`), so for a given ``(graph, weights, seeds,
@@ -11,8 +11,8 @@ trial_seed)`` they produce *identical* activated sets:
   (the paper's hand-written baseline).
 * :mod:`repro.diffusion.ndlib_like` — NDlib-style full node scan per time
   step over dict-of-dicts adjacency (the paper's slow baseline).
-* :mod:`repro.diffusion.spark_engine` — Spark-parallel Monte-Carlo trial
-  fan-out plus a DataFrame-native frontier engine.
+* :mod:`repro.diffusion.spark_engine` — Spark-parallel fan-out of
+  Monte-Carlo trials and CELF candidates.
 
 Every engine offers ``run(seeds, trial_seed)``, ``run_many(seeds,
 trial_seeds)``, ``spread(seeds, trial_seeds)`` and ``gains(base,

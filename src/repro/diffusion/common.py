@@ -123,6 +123,11 @@ def validate_weights(m: int, weights) -> np.ndarray:
 
     NaN, negative or >1 weights raise ``ValueError``: compiled comparisons
     against NaN are always false, so they would silently never fire.
+
+    LT in-sums above 1 are accepted: weighted-cascade weights 1/in-degree
+    round to sums of 1 + a few ulps, and every LT engine activates a node
+    once its active in-weight reaches its uniform threshold in [0, 1), so
+    a larger sum acts as 1 and Kempe et al.'s live-edge equivalence holds.
     """
     w = np.ascontiguousarray(weights, np.float64)
     if w.shape != (m,):

@@ -1,32 +1,21 @@
-"""Spark-parallel diffusion engines (S9, S10 in DESIGN.md).
+"""Spark fan-out of Monte-Carlo trials and CELF candidates (S9 in DESIGN.md).
 
-Two complementary designs:
-
-* **Fan-out** (:class:`SparkTrialEngine`, :func:`run_trials_df`,
-  :func:`marginal_gains_spark`): the paper's stated future-work direction
-  ("improve the performance of CyNetDiff by adding parallelism").
-  Monte-Carlo trials, and CELF's candidates, are independent, so a
-  DataFrame of int64 keys is partitioned across executors and each
-  partition runs the compiled CSR kernel locally via Arrow-backed
-  ``mapInPandas``. :class:`SparkTrialEngine` is the one owner of a
-  broadcast graph: its constructor validates the weights and model on the
-  driver and ships the CSR arrays with one ``SparkContext.broadcast``,
-  reused by all its calls; the two module functions build one engine per
-  lazy DataFrame. The broadcast is deliberate: the graph is the shared
-  read-only operand; the session's disabled *auto*-broadcast join
-  threshold concerns relational joins, not this. Because coins are
-  counter-based (``repro.diffusion.rng``), the result of trial ``t`` is
-  bit-identical to a local engine run with ``trial_seed=t`` regardless of
-  partitioning.
-
-* **DataFrame frontier engine** (:func:`frontier_reachability_df`):
-  diffusion expressed as iterative relational joins under Catalyst, over
-  a *live-edge* realization (Kempe et al.): activated nodes are exactly
-  the nodes reachable from the seeds through live edges. Each BFS round
-  is ``frontier JOIN edges`` + anti-join against the active set; the
-  DuckDB oracle checks it against a ``WITH RECURSIVE`` reachability
-  query. For IC, :func:`sample_live_edges` uses the same coin stream as
-  the engines, so per-trial results are bit-identical to them too.
+:class:`SparkTrialEngine`, :func:`run_trials_df` and
+:func:`marginal_gains_spark` follow the paper's stated future-work
+direction ("improve the performance of CyNetDiff by adding parallelism").
+Monte-Carlo trials, and CELF's candidates, are independent, so a
+DataFrame of int64 keys is partitioned across executors and each
+partition runs the compiled CSR kernel locally via Arrow-backed
+``mapInPandas``. :class:`SparkTrialEngine` is the one owner of a
+broadcast graph: its constructor validates the weights and model on the
+driver and ships the CSR arrays with one ``SparkContext.broadcast``,
+reused by all its calls; the two module functions build one engine per
+lazy DataFrame. The broadcast is deliberate: the graph is the shared
+read-only operand; the session's disabled *auto*-broadcast join
+threshold concerns relational joins, not this. Because coins are
+counter-based (``repro.diffusion.rng``), the result of trial ``t`` is
+bit-identical to a local engine run with ``trial_seed=t`` regardless of
+partitioning.
 """
 from __future__ import annotations
 
@@ -35,14 +24,12 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, IntegerType, LongType, StructField, StructType
 
 from repro.diffusion.common import (
     trial_keys, validate_csr, validate_model, validate_nodes, validate_seeds, validate_weights,
 )
 from repro.diffusion.csr_engine import CSREngine
-from repro.diffusion.rng import STREAM_IC_COIN, STREAM_LT_PICK, uniforms
 from repro.graphs.csr import CSRGraph
 
 SUMMARY_SCHEMA = StructType(
@@ -260,85 +247,3 @@ def marginal_gains_spark(
     """
     cands, body = _gains_fanout(csr.n, base_seeds, candidates, trial_seeds)
     return SparkTrialEngine(spark, csr, weights, model=model)._map(cands, body, GAINS_SCHEMA)
-
-
-def sample_live_edges(
-    csr: CSRGraph, weights: np.ndarray, trial_seed: int, *, model: str = "ic"
-) -> np.ndarray:
-    """Sample a live-edge realization, ``(k, 2)`` directed edges.
-
-    IC: edge e is live iff its shared-stream coin is below its weight —
-    the *same* coin the simulation engines flip, so reachability over
-    this realization equals their per-trial output exactly.
-
-    LT: each node picks at most one incoming edge (edge e with
-    probability w_e), per Kempe et al.'s live-edge theorem; equality with
-    the threshold engines is distributional, not per-trial, and holds only
-    where every node's incoming weights sum to at most 1, up to rounding.
-    Larger sums are not rejected (weighted-cascade weights 1/in-degree
-    round to sums of 1 + a few ulps): the threshold engines then activate
-    a node whose in-sum reaches its threshold, while here its pick
-    probabilities are cut off at a cumulative 1.
-
-    A non-integer ``trial_seed`` raises ``ValueError``, as in ``trial_keys``.
-    """
-    model = validate_model(model)
-    w = validate_weights(csr.m, weights)
-    trial_seed = int(trial_keys([trial_seed])[0])
-    if model == "ic":
-        eids = np.arange(csr.m, dtype=np.int64)
-        live = uniforms(STREAM_IC_COIN, trial_seed, eids) < w
-        return csr.edge_array()[live]
-    rev = csr.reverse()
-    u_pick = uniforms(STREAM_LT_PICK, trial_seed, np.arange(csr.n, dtype=np.int64))
-    picked: list[tuple[int, int]] = []
-    for v in range(csr.n):
-        eids, srcs = rev.in_edges(v)
-        if eids.size == 0:
-            continue
-        cum = np.cumsum(w[eids])
-        j = int(np.searchsorted(cum, u_pick[v], side="right"))
-        if j < eids.size:
-            picked.append((int(srcs[j]), v))
-    return np.asarray(picked, np.int64).reshape(-1, 2)
-
-
-def frontier_reachability_df(
-    spark: SparkSession, live_edges: DataFrame, n: int, seeds
-) -> DataFrame:
-    """BFS reachability as iterative DataFrame joins: returns (node, time).
-
-    ``live_edges`` must have columns (src, dst) over nodes ``[0, n)``. Each
-    round shuffles ``frontier JOIN edges ON node = src``, deduplicates,
-    anti-joins the active set, and localCheckpoints to truncate lineage.
-    Terminates when a round adds no nodes; output rows are every reachable
-    node with its BFS depth (seeds at time 0). Non-integer, out-of-range or
-    no seeds raise ``ValueError`` before any job, as in ``CSREngine.run``.
-    """
-    seeds_pdf = pd.DataFrame({"node": validate_seeds(n, seeds)})
-    edges = live_edges.select(
-        F.col("src").cast("long"), F.col("dst").cast("long")
-    )
-    active = (
-        spark.createDataFrame(seeds_pdf)
-        .withColumn("time", F.lit(0).cast("int"))
-        .localCheckpoint(eager=True)
-    )
-    frontier = active.select("node")
-    t = 0
-    while True:
-        nxt = (
-            frontier.join(edges, frontier.node == edges.src)
-            .select(F.col("dst").alias("node"))
-            .distinct()
-            .join(active.select("node"), "node", "left_anti")
-            .localCheckpoint(eager=True)
-        )
-        if nxt.count() == 0:
-            break
-        t += 1
-        active = active.union(
-            nxt.withColumn("time", F.lit(t).cast("int"))
-        ).localCheckpoint(eager=True)
-        frontier = nxt.select("node")
-    return active

@@ -1,6 +1,6 @@
-"""Graph substrate: generators, CSR storage, edge-weight models, Spark I/O.
+"""Graph substrate: generators, CSR storage, edge-weight models.
 
-This subpackage is S1-S4 in DESIGN.md. Everything is deterministic in an
+This subpackage is S1-S3 in DESIGN.md. Everything is deterministic in an
 explicit ``seed`` so tests, benchmarks, and the DuckDB oracle all see
 byte-identical graphs.
 """

@@ -8,7 +8,6 @@ from repro.diffusion import make_engine
 from repro.diffusion.spark_engine import run_trials_df
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi
-from repro.graphs.spark_io import nodes_df
 from repro.graphs.weights import edge_weights
 from repro.im.spread import trial_seed_block
 from repro.oracle import assert_equivalent
@@ -29,7 +28,7 @@ def workload(spark):
 
 def test_heatmap_counts_against_oracle(spark, workload):
     csr, _, _, act_pdf = workload
-    nodes_pdf = nodes_df(spark, csr).toPandas()
+    nodes_pdf = pd.DataFrame({"node": np.arange(csr.n, dtype=np.int64)})
     got = activation_counts_df(
         spark, csr, spark.createDataFrame(act_pdf), N_TRIALS
     )

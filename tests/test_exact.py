@@ -1,13 +1,17 @@
 """Exact-oracle tests (S11): closed forms and Monte-Carlo agreement."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.diffusion import make_engine
+from repro.diffusion import CSREngine, make_engine
+from repro.diffusion.common import trial_keys
 from repro.diffusion.exact import exact_ic, exact_lt, exact_sigma, reachable
+from repro.diffusion.rng import STREAM_IC_COIN, uniforms
 from repro.graphs.weights import normalize_for_lt
 from repro.im.spread import estimate_spread, trial_seed_block
 
-from tests.helpers import from_edges, line, star, tiny4
+from tests.helpers import from_edges, line, small_graphs, star, tiny4
 
 
 class TestReachable:
@@ -154,22 +158,24 @@ def test_ic_per_node_probabilities_via_heatmap_counts():
     assert np.abs(freq - pa).max() < 0.03
 
 
-def test_lt_live_edge_distributional_equivalence():
-    """Kempe et al.: threshold-LT and live-edge-LT have the same sigma.
-
-    The threshold engine and the live-edge sampler use different coin
-    streams, so this is a statistical (not per-trial) equality.
-    """
-    from repro.diffusion.exact import reachable as _reach
-    from repro.diffusion.spark_engine import sample_live_edges
-
-    csr = tiny4()
-    rng = np.random.default_rng(7)
-    w = normalize_for_lt(csr, rng.random(csr.m))
-    sig_exact, _ = exact_lt(csr, w, [0])
-    block = trial_seed_block(6, 4000)
-    total = 0
-    for t in block.tolist():
-        le = sample_live_edges(csr, w, int(t), model="lt")
-        total += _reach(csr.n, le, [0]).sum()
-    assert abs(total / len(block) - sig_exact) < 0.12
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    graph=small_graphs(),
+    seeds=st.lists(st.integers(0, 11), min_size=1, max_size=4),
+    trial=st.integers(-(2**63), 2**64 - 1),
+)
+@example(graph=(from_edges(4, []), np.empty(0), "ic"), seeds=[1, 3], trial=5)
+@example(  # nodes 3-5 have no edges
+    graph=(from_edges(6, [(0, 1), (1, 2), (2, 0)]), np.ones(3), "ic"), seeds=[0, 4], trial=-7
+)
+def test_ic_cascade_is_reachability_over_the_trial_live_edges(graph, seeds, trial):
+    """Kempe et al.'s live-edge coupling, per trial: edge e is live iff its
+    shared-stream coin is below w[e], and the IC cascade is exactly the set
+    reachable from the seeds over the live edges (self-loops, parallel
+    edges, edgeless graphs and isolated nodes included)."""
+    csr, w, _ = graph
+    seeds = [s % csr.n for s in seeds]
+    key = int(trial_keys([trial])[0])
+    live = uniforms(STREAM_IC_COIN, key, np.arange(csr.m, dtype=np.int64)) < w
+    want = np.flatnonzero(reachable(csr.n, csr.edge_array()[live], seeds))
+    assert np.array_equal(CSREngine(csr, w).run(seeds, trial).active_nodes, want)

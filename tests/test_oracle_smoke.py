@@ -1,15 +1,15 @@
 """Smoke tests for the DuckDB oracle on the reproduction's own graph tables.
 
-The oracle path is used heavily by the Spark-side graph and analytics
-tests, so it is checked here on its own: plain aggregations and joins
-over the edge table agree with DuckDB, and a wrong result is caught.
+The oracle path is used heavily by the Spark-side analytics tests, so it
+is checked here on its own: plain aggregations and joins over the edge
+table agree with DuckDB, and a wrong result is caught.
 """
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi
-from repro.graphs.spark_io import edges_df
 from repro.graphs.weights import edge_weights
 from repro.oracle import assert_equivalent
 
@@ -23,7 +23,10 @@ def graph():
 @pytest.fixture(scope="module")
 def edges(spark, graph):
     csr, w = graph
-    return edges_df(spark, csr, w).cache()
+    pdf = pd.DataFrame(
+        {"eid": range(csr.m), "src": csr.edge_sources(), "dst": csr.indices, "weight": w}
+    )
+    return spark.createDataFrame(pdf).cache()
 
 
 def test_edges_rowcount(graph, edges):

@@ -1,9 +1,12 @@
 """Spark trial fan-out tests (S9): bit-equality with local engines."""
 import numpy as np
+import pandas as pd
 import pytest
+from pyspark import TaskContext
 from pyspark.broadcast import Broadcast
 
-from repro.diffusion import make_engine
+from repro.diffusion import CSREngine, make_engine
+from repro.diffusion.common import trial_keys
 from repro.diffusion.spark_engine import SparkTrialEngine, run_trials_df
 from repro.graphs.csr import CSRGraph, build_csr
 from repro.graphs.generators import erdos_renyi
@@ -262,3 +265,33 @@ def test_one_trial_block_matches_local(spark, workload):
     assert pdf["trial"].tolist() == [int(block[0])]
     assert pdf["num_active"].tolist() == [r.num_active]
     assert pdf["num_iterations"].tolist() == [r.num_iterations]
+
+
+def test_block_sizes_that_leave_partitions_empty_match_local(spark, workload):
+    """Every block size from 1 to defaultParallelism + 1: ``_map``'s
+    round-robin repartition leaves some partitions without keys, and trials
+    and candidate gains still equal the local engine's one by one."""
+    csr, w, seeds, _ = workload
+    par = spark.sparkContext.defaultParallelism
+    local = CSREngine(csr, w)
+    gain_trials = trial_seed_block(3, 8)
+
+    def partition_ids(engine, keys):
+        yield pd.DataFrame({"pid": [TaskContext.get().partitionId()]})
+
+    empty = []
+    with SparkTrialEngine(spark, csr, w) as eng:
+        for size in range(1, par + 2):
+            block = trial_seed_block(size, size)
+            pdf = eng.run_many(seeds, block)
+            want = dict(zip(trial_keys(block).view(np.int64).tolist(), local.run_many(seeds, block)))
+            assert dict(zip(pdf["trial"].tolist(), pdf["num_active"].tolist())) == want
+            cands = list(range(size))
+            assert np.array_equal(
+                eng.gains(seeds[:1], cands, gain_trials), local.gains(seeds[:1], cands, gain_trials)
+            )
+            ids = eng._map(np.arange(size, dtype=np.int64), partition_ids, "pid int").toPandas()
+            if ids["pid"].nunique() < min(size, par):
+                empty.append(size)
+    if par > 1:
+        assert empty, "no block size left a partition without keys"
