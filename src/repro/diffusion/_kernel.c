@@ -32,9 +32,25 @@
  * live-edge graph (its "snapshot", Kempe et al. 2003), which every
  * candidate's search then walks without hashing; without it, each search
  * hashes the coin of every edge it scans. Both give the same integer totals.
+ *
+ * Scans that read coins or weights run in two phases per chunk of at most
+ * CHUNK out-edges of one node, with the chunk's edge ids in a stack buffer.
+ * The gather keeps the edges whose target is inactive, without a branch;
+ * then IC hashes the coins of the gathered edges only and appends the live
+ * targets, checking each again in case a parallel edge entered it first,
+ * and LT pushes the gathered edges' weights. Edge order, queue order, LT
+ * summation order and every coin that decides a node are those of a plain
+ * loop over the edges. Loops that read neither, the snapshot builder and a
+ * search over a snapshot, stay single loops: the builder skips edges into
+ * R_k(S), which is empty in CELF's first pass, and a snapshot has about
+ * one live edge per node under WC, so a gather has little to drop there.
  */
 #include <stdint.h>
 #include <string.h>
+
+/* Edges per scan chunk: the chunk's edge ids fit in a 2 KB stack buffer. */
+#define CHUNK 256
+#define ALWAYS_INLINE __attribute__((always_inline))
 
 static inline uint64_t sm64(uint64_t x) {
     x += 0x9E3779B97F4A7C15ULL;
@@ -70,27 +86,69 @@ static inline void sort_ids(int64_t *ids, int64_t len, int64_t *buf, int64_t n) 
     if (src != ids) memcpy(ids, src, (size_t)len * sizeof(int64_t));
 }
 
-/* Breadth-first search over live IC edges from queue[0..qlen), whose act
- * entries are set. It enters v when act[v] < 0, v is not marked in skip
- * (if given) and, if coins, edge e's coin is below w[e]; it sets act[v] =
- * act[u] + 1, appends v to queue and returns the new queue length. Without
- * coins every edge is live and w is not read. Every caller passes coins as
- * a literal, so inlining drops the test. The queue is FIFO, so round t's
- * nodes are expanded in the order they were activated and the last node
- * has the largest time. */
-static inline int64_t ic_search(const int64_t *indptr, const int64_t *indices,
-                                const double *w, uint64_t base, int coins,
-                                const uint8_t *skip, int32_t *act, int64_t *queue,
-                                int64_t qlen) {
+/* Breadth-first search from queue[0..qlen), whose act entries are set: it
+ * enters v over a live edge u->v when act[v] < 0, sets act[v] = act[u] + 1,
+ * appends v to queue and returns the new queue length. The queue is FIFO,
+ * so round t's nodes are expanded in the order they were activated and the
+ * last node has the largest time.
+ *
+ * With coins, edge e is live when its coin is below w[e], and v must also
+ * be unmarked in skip (if given). Each node's edges are then scanned in
+ * chunks of at most CHUNK, in three phases:
+ * - the gather writes every edge id to buf and keeps it only if its target
+ *   is open, without a branch: on a flooding trial about half the targets
+ *   are active, and a branch on act[v] would mispredict on every other edge;
+ * - the hash keeps, in place, the gathered edges whose coin is live, again
+ *   without a branch, so no coin of an edge into an active node is hashed;
+ * - the append enters the live targets in edge order and checks act[v] < 0
+ *   again: parallel edges u->v in one chunk are all gathered, and only the
+ *   first live one may enter v. The later ones' coins are the only coins a
+ *   one-loop scan would not hash; no count or time changes.
+ *
+ * Without coins, indptr and indices are a trial's live-edge snapshot (see
+ * ic_gains): every edge is live, w and skip are not read, and one loop
+ * scans each node's edges. Snapshot nodes have about one live edge each
+ * under WC, too few for the phases to pay.
+ *
+ * Every caller passes coins as a literal, and run_many passes skip as NULL,
+ * so an inlined copy drops their tests. ALWAYS_INLINE keeps it inlined:
+ * GCC's -O2 heuristics stop inlining a function this long. */
+static inline ALWAYS_INLINE int64_t ic_search(const int64_t *indptr, const int64_t *indices,
+                                             const double *w, uint64_t base, int coins,
+                                             const uint8_t *skip, int32_t *act,
+                                             int64_t *queue, int64_t qlen) {
+    int64_t buf[CHUNK];
     for (int64_t i = 0; i < qlen; i++) {
         int64_t u = queue[i], end = indptr[u + 1];
         int32_t t = act[u] + 1;
-        for (int64_t e = indptr[u]; e < end; e++) {
-            int64_t v = indices[e];
-            if (act[v] < 0 && !(skip && skip[v])
-                && (!coins || uniform(base, (uint64_t)e) < w[e])) {
-                act[v] = t;
-                queue[qlen++] = v;
+        if (!coins) {
+            for (int64_t e = indptr[u]; e < end; e++) {
+                int64_t v = indices[e];
+                if (act[v] < 0) {
+                    act[v] = t;
+                    queue[qlen++] = v;
+                }
+            }
+            continue;
+        }
+        for (int64_t c = indptr[u]; c < end; c += CHUNK) {
+            int64_t c_end = end - c < CHUNK ? end : c + CHUNK, nb = 0, nl = 0;
+            for (int64_t e = c; e < c_end; e++) {
+                int64_t v = indices[e];
+                buf[nb] = e;
+                nb += (act[v] < 0) & !(skip && skip[v]);
+            }
+            for (int64_t j = 0; j < nb; j++) {
+                int64_t e = buf[j];
+                buf[nl] = e;
+                nl += uniform(base, (uint64_t)e) < w[e];
+            }
+            for (int64_t j = 0; j < nl; j++) {
+                int64_t v = indices[buf[j]];
+                if (act[v] < 0) {
+                    act[v] = t;
+                    queue[qlen++] = v;
+                }
             }
         }
     }
@@ -105,26 +163,38 @@ static inline int64_t ic_search(const int64_t *indptr, const int64_t *indices,
  * count as inactive. touched and cand are appended without a branch: each
  * write lands one past the list's end and counts only for a new entry; a
  * seed never lands there, so neither index passes n - 1. Returns the queue
- * length, with acc all zero again and every act entry -1 or a time. */
+ * length, with acc all zero again and every act entry -1 or a time.
+ *
+ * Each node's edges are scanned in chunks of at most CHUNK, as in
+ * ic_search: the gather keeps, without a branch, the edges whose target is
+ * inactive, and the push runs over them in edge order. A push moves act
+ * only among -1, -2 and -3, all inactive, so every gathered edge is still
+ * one to push and the sums and their order are a one-loop scan's. */
 static inline int64_t lt_search(const int64_t *indptr, const int64_t *indices,
                                 const double *w, uint64_t base, int32_t *act,
                                 int64_t *queue, int64_t qlen, int64_t n,
                                 double *acc, int64_t *touched, int64_t *cand) {
-    int64_t lo = 0, n_touched = 0;
+    int64_t buf[CHUNK], lo = 0, n_touched = 0;
     for (int32_t t = 0; lo < qlen; t++) {
         int64_t hi = qlen, n_cand = 0;
         for (int64_t i = lo; i < hi; i++) {
             int64_t u = queue[i], end = indptr[u + 1];
-            for (int64_t e = indptr[u]; e < end; e++) {
-                int64_t v = indices[e];
-                int32_t a = act[v];
-                if (a >= 0) continue;
-                acc[v] += w[e];
-                touched[n_touched] = v;
-                n_touched += a == -1;
-                cand[n_cand] = v;
-                n_cand += a != -3;
-                act[v] = -3;
+            for (int64_t c = indptr[u]; c < end; c += CHUNK) {
+                int64_t c_end = end - c < CHUNK ? end : c + CHUNK, nb = 0;
+                for (int64_t e = c; e < c_end; e++) {
+                    buf[nb] = e;
+                    nb += act[indices[e]] < 0;
+                }
+                for (int64_t j = 0; j < nb; j++) {
+                    int64_t e = buf[j], v = indices[e];
+                    int32_t a = act[v];
+                    acc[v] += w[e];
+                    touched[n_touched] = v;
+                    n_touched += a == -1;
+                    cand[n_cand] = v;
+                    n_cand += a != -3;
+                    act[v] = -3;
+                }
             }
         }
         for (int64_t i = 0; i < n_cand; i++) {

@@ -3,8 +3,11 @@
 Implements the paper's Observation 1: newly activated nodes can only come
 from out-neighbors of the previous frontier, so each round scans the CSR
 slices of the frontier and touches work proportional to the edges incident
-to active nodes, not to |V| or |E|. As in CyNetDiff, the kernel is one
-compiled scalar loop over CSR: ``_kernel.c``, loaded with :mod:`ctypes`.
+to active nodes, not to |V| or |E|. As in CyNetDiff, the kernel is a
+compiled scalar scan over CSR: ``_kernel.c``, loaded with :mod:`ctypes`.
+It scans each node's out-edges in two phases, a branch-free gather of the
+edges into inactive nodes and then the coins (IC) or weights (LT) of those
+edges only, with the order and the results of a plain loop.
 
 The library is built on first import with the interpreter's C compiler
 (``$CC``, else ``sysconfig``'s ``CC``) into ``$XDG_CACHE_HOME/repro``

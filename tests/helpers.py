@@ -36,6 +36,29 @@ def star(n_leaves: int) -> CSRGraph:
     return build_csr(DirectedEdgeList(n=n_leaves + 1, edges=edges, name="star"))
 
 
+HUB_DEGREE = 700  # past two full 256-edge chunks of the kernel's scans
+
+
+def hub(n: int = 300, n_random: int = 1200, seed: int = 0) -> CSRGraph:
+    """Node 0 with ``HUB_DEGREE`` out-edges first, then ``n_random`` random edges.
+
+    The kernel scans each node's out-edges in chunks of 256. The hub's
+    edges 250-261 all go to node 7 and 508-515 to node 9, so parallel edges
+    to one target sit on both sides of each chunk boundary; its other
+    targets are drawn from 1..n-1 and repeat too. The random edges among
+    all n nodes add in-edges to the hub, self-loops and more parallel edges.
+    """
+    rng = np.random.default_rng(seed)
+    targets = rng.integers(1, n, HUB_DEGREE)
+    targets[250:262] = 7
+    targets[508:516] = 9
+    edges = np.concatenate([
+        np.stack([np.zeros(HUB_DEGREE, np.int64), targets], axis=1),
+        rng.integers(0, n, (n_random, 2)),
+    ])
+    return build_csr(DirectedEdgeList(n=n, edges=edges, name="hub"))
+
+
 def from_edges(n: int, pairs) -> CSRGraph:
     """CSR from an explicit directed edge list."""
     arr = np.asarray(pairs, np.int64).reshape(-1, 2)

@@ -20,7 +20,7 @@ from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import edge_weights, normalize_for_lt
 from repro.im.spread import trial_seed_block
 
-from tests.helpers import from_edges, star
+from tests.helpers import from_edges, hub, star
 from tests.test_engines_lt import GRAPHS as LT_GRAPHS, SEEDS as LT_SEEDS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -173,13 +173,20 @@ print(json.dumps([csr_engine.KERNEL, [got[i] for i in range(3)]]))
 """
 
 
-def sanitized_counts() -> dict[str, list[int]]:
+def sanitized_counts() -> dict[str, list]:
     """IC and LT ``run_many`` counts on the LT tests' ``er300`` input, whose
-    LT frontiers take both branches of the kernel's sort."""
-    csr, seeds = LT_GRAPHS["er300"], LT_SEEDS["er300"]
-    w = edge_weights(csr, "WC", seed=4)
-    block = trial_seed_block(22, 64)
-    return {m: CSREngine(csr, w, model=m).run_many(seeds, block).tolist() for m in ("ic", "lt")}
+    LT frontiers take both branches of the kernel's sort, and on ``hub()``
+    seeded at the hub alone, whose first scan gathers every edge of two full
+    256-edge chunks and then a partial one; and IC gains on ``hub()``, whose
+    searches skip the base's targets of the hub."""
+    block, h = trial_seed_block(22, 64), hub()
+    got = {}
+    for name, csr, seeds in (("er300", LT_GRAPHS["er300"], LT_SEEDS["er300"]), ("hub", h, [0])):
+        w = edge_weights(csr, "WC", seed=4)
+        for m in ("ic", "lt"):
+            got[f"{name}/{m}"] = CSREngine(csr, w, model=m).run_many(seeds, block).tolist()
+    got["hub/gains"] = CSREngine(h, edge_weights(h, "WC")).gains([7, 9, 20], [0, 5], block).tolist()
+    return got
 
 
 def _links_ubsan(cc: list[str], tmp_path: Path) -> bool:

@@ -26,7 +26,7 @@ from repro.graphs.generators import erdos_renyi, random_regular
 from repro.graphs.weights import EWM_NAMES, edge_weights, normalize_for_lt
 from repro.im.spread import trial_seed_block
 
-from tests.helpers import CountingLib, line, small_graphs, star
+from tests.helpers import CountingLib, hub, line, small_graphs, star, tiny4
 
 GRAPHS = {
     "er": build_csr(erdos_renyi(150, 0.04, seed=1)),
@@ -241,3 +241,68 @@ def test_concurrent_callers_get_serial_results():
     for results in got.values():
         for model, counts in results:
             assert np.array_equal(counts, want[model]), model
+
+
+HUB = hub()
+HUB_BLOCK = trial_seed_block(31, 12)
+HUB_SEEDS = {"hub": [0, 3, 11], "no-hub": [3, 11, 40]}
+HUB_WEIGHTS = ("U(0,1)", "U(0,.01)", "ones", "WC")
+
+
+def _hub_weights(name: str, model: str) -> np.ndarray:
+    """IC or LT weights on ``HUB``: U[0, 1], U[0, 0.01], all ones or WC."""
+    if name == "WC":
+        w = edge_weights(HUB, "WC")
+    elif name == "ones":
+        w = np.ones(HUB.m)
+    else:
+        w = np.random.default_rng(8).uniform(0.0, 1.0 if name == "U(0,1)" else 0.01, HUB.m)
+    return normalize_for_lt(HUB, w) if model == "lt" else w
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+@pytest.mark.parametrize("wname", HUB_WEIGHTS)
+@pytest.mark.parametrize("seeds", list(HUB_SEEDS))
+def test_chunked_scans_match_pure_python_on_a_hub(model, wname, seeds):
+    """Scans over full and partial 256-edge chunks, with parallel edges across
+    the boundaries, give the interpreted engine's activation times."""
+    w, seeds = _hub_weights(wname, model), HUB_SEEDS[seeds]
+    e, ref = CSREngine(HUB, w, model=model), PurePythonEngine(HUB, w, model=model)
+    want = [ref.run(seeds, t).activation_time for t in HUB_BLOCK.tolist()]
+    for t, times in zip(HUB_BLOCK.tolist(), want):
+        assert np.array_equal(e.run(seeds, t).activation_time, times), t
+    assert e.run_many(seeds, HUB_BLOCK).tolist() == [int((a >= 0).sum()) for a in want]
+
+
+@pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
+@pytest.mark.parametrize("wname", HUB_WEIGHTS)
+def test_gains_on_a_hub_equal_spread(monkeypatch, wname):
+    """The base holds the hub's targets 7 and 9, so a search from the hub skips
+    parallel edges on both sides of a chunk boundary. One-candidate calls
+    search without snapshots; the call with every node builds them."""
+    lib = CountingLib(csr_engine._LIB)
+    monkeypatch.setattr(csr_engine, "_LIB", lib)
+    e = CSREngine(HUB, _hub_weights(wname, "ic"))
+    base, nodes = [7, 9, 20], list(range(HUB.n))
+    want = [e.spread([*base, c], HUB_BLOCK) for c in nodes]
+    into_hub = sorted(set(HUB.edge_sources()[HUB.indices == 0].tolist()))[:8]
+    lib.calls.clear()
+    for c in [0, *into_hub]:
+        assert e.gains(base, [c], HUB_BLOCK).tolist() == [want[c]], c
+    assert e.gains(base, nodes, HUB_BLOCK).tolist() == want
+    live = [call.args[-5] is not None for call in lib.calls if call.name == "ic_gains"]
+    assert live == [False] * (1 + len(into_hub)) + [True]
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_block_longer_than_2_to_the_20(model):
+    """A raw block of 2**20 + 5 trial seeds: the claim counter and the counts
+    array index past 2**20 like any other trial."""
+    csr = tiny4()
+    w = np.full(csr.m, 0.3 if model == "lt" else 0.5)
+    e = CSREngine(csr, w, model=model)
+    block = np.arange(2**20 + 5)
+    counts = e.run_many([0], block)
+    assert counts.shape == block.shape
+    for i in (0, 2**20 - 1, 2**20, block.size - 1):
+        assert counts[i] == e.run([0], int(block[i])).num_active, i
