@@ -112,5 +112,5 @@ def format_table1(rows: Sequence[Table1Row]) -> str:
         )
         fastest = min(x.seconds for x in r.results)
         ours = " | ".join(str(r.ratios[e]) for e in engines)
-        lines.append(f"| {r.graph} | {r.ewm} | {ours} | {paper} | {fastest:.3f} |")
+        lines.append(f"| {r.graph} | {r.ewm} | {ours} | {paper} | {fastest:.3g} |")
     return "\n".join(lines)

@@ -2,11 +2,11 @@
 
 Every engine — compiled, pure-Python, NDlib-like, Spark — draws the *same*
 uniform for the same ``(stream, trial_seed, id)`` triple, where ``id`` is a
-CSR edge id (IC coins, LT live-edge picks) or a node id (LT thresholds).
-That turns "all engines implement the same model" into an exact, testable
-equality per trial instead of a statistical claim, and it makes Spark
-fan-out embarrassingly parallel: no shared RNG state, no seed handshakes,
-results independent of partitioning.
+CSR edge id (IC coins) or a node id (LT thresholds). That turns "all
+engines implement the same model" into an exact, testable equality per
+trial instead of a statistical claim, and it makes Spark fan-out
+embarrassingly parallel: no shared RNG state, no seed handshakes, results
+independent of partitioning.
 
 The hash is splitmix64 (Steele et al.), applied twice: once to fold
 ``(stream, trial_seed)`` into a base key, once over ``base + id``. Uniforms
@@ -30,7 +30,6 @@ _INV_2_53 = 2.0**-53
 # with a node id across uses.
 STREAM_IC_COIN = 0x1C0FFEE1C0FFEE01
 STREAM_LT_THRESHOLD = 0x7157A6E5D0000002
-STREAM_LT_PICK = 0x7157A6E5D0000003
 
 
 def splitmix64_py(x: int) -> int:

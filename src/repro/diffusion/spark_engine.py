@@ -3,19 +3,19 @@
 :class:`SparkTrialEngine`, :func:`run_trials_df` and
 :func:`marginal_gains_spark` follow the paper's stated future-work
 direction ("improve the performance of CyNetDiff by adding parallelism").
-Monte-Carlo trials, and CELF's candidates, are independent, so a
-DataFrame of int64 keys is partitioned across executors and each
-partition runs the compiled CSR kernel locally via Arrow-backed
-``mapInPandas``. :class:`SparkTrialEngine` is the one owner of a
-broadcast graph: its constructor validates the weights and model on the
-driver and ships the CSR arrays with one ``SparkContext.broadcast``,
-reused by all its calls; the two module functions build one engine per
-lazy DataFrame. The broadcast is deliberate: the graph is the shared
-read-only operand; the session's disabled *auto*-broadcast join
-threshold concerns relational joins, not this. Because coins are
-counter-based (``repro.diffusion.rng``), the result of trial ``t`` is
-bit-identical to a local engine run with ``trial_seed=t`` regardless of
-partitioning.
+Monte-Carlo trials, and CELF's candidates, are independent, so the
+driver splits their int64 keys into slices that differ in size by at
+most one key, and each fan-out is one Arrow-backed ``mapInPandas`` stage
+over ``spark.range`` whose partitions run the compiled CSR kernel locally.
+:class:`SparkTrialEngine` is the one owner of a broadcast graph: its
+constructor validates the weights and model on the driver and ships the
+CSR arrays with one ``SparkContext.broadcast``, reused by all its calls;
+the two module functions build one engine per lazy DataFrame. The
+broadcast is deliberate: the graph is the shared read-only operand; the
+session's disabled *auto*-broadcast join threshold concerns relational
+joins, not this. Because coins are counter-based
+(``repro.diffusion.rng``), the result of trial ``t`` is bit-identical to
+a local engine run with ``trial_seed=t`` regardless of partitioning.
 """
 from __future__ import annotations
 
@@ -93,7 +93,7 @@ def _gains_fanout(n: int, base, candidates, trial_seeds):
     """Checked candidate ids and the per-batch body of a candidate fan-out.
 
     Non-integer or out-of-range ids raise ``ValueError`` here, before any
-    job; the body makes one ``CSREngine.gains`` call per batch.
+    job; the body makes one ``CSREngine.gains`` call per slice.
     """
     cands = validate_nodes(n, candidates, "candidate")
     base = validate_nodes(n, base, "seed")
@@ -115,7 +115,7 @@ class SparkTrialEngine:
     no broadcasts. ``run_many(seeds,
     trial_seeds)`` returns the per-trial summary as pandas and ``spread``
     its mean; ``gains`` fans the candidates out in one job, each partition
-    making one ``CSREngine.gains`` call per batch. :meth:`close` (or
+    making one ``CSREngine.gains`` call on its slice. :meth:`close` (or
     leaving a ``with`` block) destroys the broadcast.
     """
 
@@ -150,29 +150,27 @@ class SparkTrialEngine:
     ) -> DataFrame:
         """Lazy DataFrame of ``body``'s frames over int64 ``keys``, validated by the caller.
 
-        The keys are spread over ``min(len(keys), defaultParallelism)``
-        partitions (one when there are none: the key schema is explicit, so
-        an empty block gives an empty result); each partition builds one
-        :class:`CSREngine` from the broadcast and passes it, with each
-        batch's keys, to ``body``, which yields pandas frames of ``schema``.
+        The driver splits the keys into ``p = max(1, min(len(keys), defaultParallelism))``
+        slices that differ in size by at most one key. The job is one ``mapInPandas``
+        stage over ``spark.range(p, numPartitions=p)``: partition ``i`` passes slice ``i``,
+        from the closure, and one :class:`CSREngine` built from the broadcast to ``body``,
+        which yields pandas frames of ``schema``. No keys: no ``body`` call, no rows.
         """
         graph = self._graph
         if graph is None:
             raise ValueError("SparkTrialEngine is closed")
+        parts = max(1, min(len(keys), self.spark.sparkContext.defaultParallelism))
+        slices = np.array_split(keys, parts)
 
-        def run_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        def run_partition(ids: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
             n, indptr, indices, weights, model = graph.value
             engine = CSREngine(CSRGraph(n=n, indptr=indptr, indices=indices), weights, model=model)
-            for batch in batches:
-                yield from body(engine, batch["key"].tolist())
+            for batch in ids:
+                for i in batch["id"]:
+                    if slices[i].size:
+                        yield from body(engine, slices[i].tolist())
 
-        keys = pd.DataFrame({"key": keys})
-        num_part = max(1, min(len(keys), self.spark.sparkContext.defaultParallelism))
-        return (
-            self.spark.createDataFrame(keys, "key long")
-            .repartition(num_part)
-            .mapInPandas(run_partition, schema)
-        )
+        return self.spark.range(parts, numPartitions=parts).mapInPandas(run_partition, schema)
 
     def run_many(self, seeds, trial_seeds) -> pd.DataFrame:
         """Collect (trial, num_active, num_iterations), ordered by trial."""
@@ -240,7 +238,7 @@ def marginal_gains_spark(
     This is CELF's dominant cost — the first pass evaluates every node —
     and it is embarrassingly parallel over candidates: the body of
     :meth:`SparkTrialEngine.gains` (one ``CSREngine.gains`` call per
-    partition batch over the shared CRN trial block), returned as a lazy
+    partition's slice over the shared CRN trial block), returned as a lazy
     (candidate, sigma_hat) DataFrame over the broadcast of one engine,
     which is never closed. Non-integer or out-of-range ids and bad
     weights raise ``ValueError`` here, before any job or broadcast.

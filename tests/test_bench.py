@@ -146,6 +146,8 @@ class TestTable1Driver:
         text = format_table1(rows)
         assert text.startswith("| Graph | EWM |")
         assert "tiny" in text
+        fast = Table1Row("tiny", "TV", [BenchResult("csr", 2, 0.00345, 580.0, 3.0)], {"csr": 1}, {})
+        assert "| tiny | TV | 1 | - | 0.00345 |" in format_table1([fast])
 
 
 class TestTable2Driver:

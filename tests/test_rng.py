@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.diffusion.rng import (
     STREAM_IC_COIN,
-    STREAM_LT_PICK,
     STREAM_LT_THRESHOLD,
     ScalarCoins,
     base_key,
@@ -51,9 +50,7 @@ class TestSplitmix:
 
 
 class TestUniforms:
-    @pytest.mark.parametrize(
-        "stream", [STREAM_IC_COIN, STREAM_LT_THRESHOLD, STREAM_LT_PICK]
-    )
+    @pytest.mark.parametrize("stream", [STREAM_IC_COIN, STREAM_LT_THRESHOLD])
     def test_range(self, stream):
         u = uniforms(stream, 7, np.arange(10_000))
         assert (u >= 0).all() and (u < 1).all()
@@ -103,4 +100,4 @@ class TestScalarCoins:
 
     def test_base_key_consistency(self):
         assert base_key(STREAM_IC_COIN, 7) == base_key(STREAM_IC_COIN, 7)
-        assert base_key(STREAM_IC_COIN, 7) != base_key(STREAM_LT_PICK, 7)
+        assert base_key(STREAM_IC_COIN, 7) != base_key(STREAM_LT_THRESHOLD, 7)

@@ -267,31 +267,63 @@ def test_one_trial_block_matches_local(spark, workload):
     assert pdf["num_iterations"].tolist() == [r.num_iterations]
 
 
-def test_block_sizes_that_leave_partitions_empty_match_local(spark, workload):
-    """Every block size from 1 to defaultParallelism + 1: ``_map``'s
-    round-robin repartition leaves some partitions without keys, and trials
-    and candidate gains still equal the local engine's one by one."""
+def test_block_sizes_split_evenly_and_match_local(spark, workload):
+    """Every block size from 1 to defaultParallelism + 1, then 10 and 1000
+    keys: each of ``_map``'s p = min(k, defaultParallelism) partitions gets
+    ⌊k/p⌋ or ⌈k/p⌉ keys and every key appears once; up to
+    defaultParallelism + 1, trials and candidate gains equal the local
+    engine's one by one."""
     csr, w, seeds, _ = workload
     par = spark.sparkContext.defaultParallelism
     local = CSREngine(csr, w)
     gain_trials = trial_seed_block(3, 8)
 
-    def partition_ids(engine, keys):
-        yield pd.DataFrame({"pid": [TaskContext.get().partitionId()]})
+    def partition_keys(engine, keys):
+        yield pd.DataFrame({"pid": TaskContext.get().partitionId(), "key": keys})
 
-    empty = []
     with SparkTrialEngine(spark, csr, w) as eng:
-        for size in range(1, par + 2):
-            block = trial_seed_block(size, size)
-            pdf = eng.run_many(seeds, block)
-            want = dict(zip(trial_keys(block).view(np.int64).tolist(), local.run_many(seeds, block)))
-            assert dict(zip(pdf["trial"].tolist(), pdf["num_active"].tolist())) == want
-            cands = list(range(size))
-            assert np.array_equal(
-                eng.gains(seeds[:1], cands, gain_trials), local.gains(seeds[:1], cands, gain_trials)
-            )
-            ids = eng._map(np.arange(size, dtype=np.int64), partition_ids, "pid int").toPandas()
-            if ids["pid"].nunique() < min(size, par):
-                empty.append(size)
-    if par > 1:
-        assert empty, "no block size left a partition without keys"
+        for size in [*range(1, par + 2), 10, 1000]:
+            if size <= par + 1:
+                block = trial_seed_block(size, size)
+                pdf = eng.run_many(seeds, block)
+                want = dict(
+                    zip(trial_keys(block).view(np.int64).tolist(), local.run_many(seeds, block))
+                )
+                assert dict(zip(pdf["trial"].tolist(), pdf["num_active"].tolist())) == want
+                cands = list(range(size))
+                assert np.array_equal(
+                    eng.gains(seeds[:1], cands, gain_trials),
+                    local.gains(seeds[:1], cands, gain_trials),
+                )
+            keys = np.arange(size, dtype=np.int64)
+            got = eng._map(keys, partition_keys, "pid int, key long").toPandas()
+            assert sorted(got["key"].tolist()) == keys.tolist()
+            p = min(size, par)
+            per_part = got.groupby("pid").size()
+            assert len(per_part) == p
+            assert set(per_part.tolist()) <= {size // p, -(-size // p)}
+
+
+def test_each_fanout_runs_one_stage(spark, workload):
+    """A trial or candidate fan-out is one job of one stage: no shuffle."""
+    csr, w, seeds, block = workload
+    sc = spark.sparkContext
+    tracker = sc.statusTracker()
+    try:
+        with SparkTrialEngine(spark, csr, w) as eng:
+            for group, start in (
+                ("test-one-stage-run-many", lambda: eng.run_many(seeds, block)),
+                ("test-one-stage-gains", lambda: eng.gains(seeds[:1], range(10), block[:4])),
+                (
+                    "test-one-stage-trials-df",
+                    lambda: run_trials_df(spark, csr, w, seeds, block).collect(),
+                ),
+            ):
+                sc.setJobGroup(group, "a fan-out must run as one stage")
+                start()
+                jobs = tracker.getJobIdsForGroup(group)
+                assert len(jobs) == 1
+                assert len(tracker.getJobInfo(jobs[0]).stageIds) == 1
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
