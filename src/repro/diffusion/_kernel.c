@@ -14,13 +14,15 @@
  * sort below 32 ids, else an LSD radix sort over 8-bit digits of ids below
  * n, buffered in cand, which is free once the round's thresholds are read.
  *
- * Several calls may share one block: each claims its next trial index
- * from a shared counter (a relaxed atomic add), so no call waits on a
- * fixed slice. A NULL counter means every trial, in order. Each trial
- * resets the previous trial's nodes before it starts, so on return act
- * holds the activation times (-1 for inactive nodes) of the last trial the
- * call ran; its number of iterations is the largest of them, so no
- * function returns it.
+ * One run_many call runs a whole block on the threads it is given: it
+ * starts threads - 1 POSIX threads, runs on the calling thread too, and
+ * joins them all before it returns, so no thread outlives a call. Each
+ * thread allocates its own scratch and claims its next trial index from a
+ * counter local to the call (a relaxed atomic add), so no thread waits on
+ * a fixed slice. Each trial resets the previous trial's nodes before it
+ * starts, so with one thread, act holds on return the activation times
+ * (-1 for inactive nodes) of the block's last trial; its number of
+ * iterations is the largest of them, so no function returns it.
  *
  * IC has one traversal, ic_search, which run_many and ic_gains share. The
  * gains call serves CELF: a trial's live edges are fixed by its coins, so
@@ -45,7 +47,9 @@
  * R_k(S), which is empty in CELF's first pass, and a snapshot has about
  * one live edge per node under WC, so a gather has little to drop there.
  */
+#include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Edges per scan chunk: the chunk's edge ids fit in a 2 KB stack buffer. */
@@ -217,37 +221,75 @@ static inline int64_t lt_search(const int64_t *indptr, const int64_t *indices,
     return qlen;
 }
 
-/* The next trial to run: claimed from *next if given, else k. */
-static inline int64_t claim(int64_t *next, int64_t k) {
-    return next ? __atomic_fetch_add(next, 1, __ATOMIC_RELAXED) : k;
+/* One run_many call's block, shared by its threads. */
+struct block {
+    const int64_t *indptr, *indices, *seeds;
+    const double *w;
+    const uint64_t *trials;
+    int64_t n_seeds, n_trials, n, next, lt; /* next: the next trial index to claim */
+    uint64_t stream;
+    int64_t *counts;
+    uint8_t *reach;
+};
+
+/* Runs the trials it claims from b->next until none is left, on scratch
+ * it allocates: act unless given (n activation times, all -1), a queue
+ * and, under LT, acc (zeroed), touched and cand. If an allocation fails it
+ * claims nothing, so another thread runs its trials. */
+static void run_trials(struct block *b, int32_t *act) {
+    int64_t n = b->n, qlen = 0, lt = b->lt;
+    int32_t *own = act ? NULL : malloc((size_t)n * sizeof *own);
+    int64_t *queue = malloc((size_t)n * sizeof *queue);
+    double *acc = lt ? calloc((size_t)n, sizeof *acc) : NULL;
+    int64_t *touched = lt ? malloc((size_t)n * sizeof *touched) : NULL;
+    int64_t *cand = lt ? malloc((size_t)n * sizeof *cand) : NULL;
+    if (own) act = memset(own, 0xff, (size_t)n * sizeof *own); /* every entry -1 */
+    if (act && queue && (!lt || (acc && touched && cand))) {
+        for (int64_t k; (k = __atomic_fetch_add(&b->next, 1, __ATOMIC_RELAXED)) < b->n_trials;) {
+            for (int64_t i = 0; i < qlen; i++) act[queue[i]] = -1;
+            uint64_t base = sm64(b->stream ^ sm64(b->trials[k]));
+            for (int64_t i = 0; i < b->n_seeds; i++) {
+                act[b->seeds[i]] = 0;
+                queue[i] = b->seeds[i];
+            }
+            qlen = lt
+                ? lt_search(b->indptr, b->indices, b->w, base, act, queue, b->n_seeds, n, acc,
+                            touched, cand)
+                : ic_search(b->indptr, b->indices, b->w, base, 1, NULL, act, queue, b->n_seeds);
+            b->counts[k] = qlen;
+            if (b->reach)
+                for (int64_t i = 0; i < qlen; i++) b->reach[k * n + queue[i]] = 1;
+        }
+    }
+    free(own), free(queue), free(acc), free(touched), free(cand);
 }
 
-/* Runs the trials it claims from *next, or all of them in order if next is
- * NULL, writing counts[k] for each trial k it runs. If reach is given
- * (n_trials x n bytes, arriving zeroed), row k marks R_k(seeds). Given
- * LT's scratch (acc, n doubles arriving zeroed, and touched and cand, n
- * each), the trials run under LT, else under IC. */
-void run_many(const int64_t *indptr, const int64_t *indices, const double *w,
-              const int64_t *seeds, int64_t n_seeds,
-              const uint64_t *trials, int64_t n_trials, uint64_t stream,
-              int32_t *act, int64_t *queue, int64_t *counts,
-              uint8_t *reach, int64_t n,
-              double *acc, int64_t *touched, int64_t *cand, int64_t *next) {
-    int64_t qlen = 0;
-    for (int64_t k = claim(next, 0); k < n_trials; k = claim(next, k + 1)) {
-        for (int64_t i = 0; i < qlen; i++) act[queue[i]] = -1;
-        uint64_t base = sm64(stream ^ sm64(trials[k]));
-        for (int64_t i = 0; i < n_seeds; i++) {
-            act[seeds[i]] = 0;
-            queue[i] = seeds[i];
-        }
-        qlen = acc
-            ? lt_search(indptr, indices, w, base, act, queue, n_seeds, n, acc, touched, cand)
-            : ic_search(indptr, indices, w, base, 1, NULL, act, queue, n_seeds);
-        counts[k] = qlen;
-        if (reach)
-            for (int64_t i = 0; i < qlen; i++) reach[k * n + queue[i]] = 1;
-    }
+static void *run_thread(void *b) {
+    run_trials(b, NULL);
+    return NULL;
+}
+
+/* Runs the block's n_trials trials on up to threads threads, the calling
+ * thread among them, writing counts[k] for each trial k, under LT if lt,
+ * else IC. The calling thread uses act (n entries, arriving -1) as its
+ * activation times if given. If reach is given (n_trials x n bytes,
+ * arriving zeroed), row k marks R_k(seeds). A thread that cannot be
+ * started leaves its trials to the others. Returns 0, or -1 when no
+ * thread could allocate its scratch and the block did not run. */
+int64_t run_many(const int64_t *indptr, const int64_t *indices, const double *w,
+                 const int64_t *seeds, int64_t n_seeds,
+                 const uint64_t *trials, int64_t n_trials, uint64_t stream, int64_t lt,
+                 int64_t threads, int32_t *act, int64_t *counts, uint8_t *reach, int64_t n) {
+    struct block b = {indptr, indices, seeds, w, trials, n_seeds, n_trials, n, 0, lt, stream,
+                      counts, reach};
+    int64_t started = 0;
+    pthread_t *tids = threads > 1 ? malloc((size_t)(threads - 1) * sizeof *tids) : NULL;
+    for (; tids && started < threads - 1; started++)
+        if (pthread_create(&tids[started], NULL, run_thread, &b)) break;
+    run_trials(&b, act);
+    for (int64_t i = 0; i < started; i++) pthread_join(tids[i], NULL);
+    free(tids);
+    return b.next < n_trials ? -1 : 0;
 }
 
 /* Row k of R_k(S) is at reach + k * stride (stride 0 with one zero row for

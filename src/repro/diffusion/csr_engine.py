@@ -19,17 +19,19 @@ kernel in use: ``"c"``, or ``"python"`` when the library cannot be built
 or loaded; only then ``run`` and ``run_many`` delegate to the bit-identical
 ``PurePythonEngine`` loop, and one ``RuntimeWarning`` gives the reason.
 
-``run_many`` starts one compiled call per CPU in the process's affinity
-mask (``os.sched_getaffinity``), never more than there are trials, each on
-its own thread; ctypes releases the GIL for the call. Every call gets the
-whole block and claims trials one at a time from a shared counter until
-none is left, so a call that draws slow trials takes fewer of them; there
-are no fixed slices. Trials are independent and their coins
-counter-based, so which call runs a trial changes no count. The threads
-live only for the call, so a process forked afterwards is safe.
-``taskset`` or a cpuset lowers the thread count; there is no option for
-it. ``run`` and the interpreted loop stay on the calling thread, and so
-does ``gains`` under IC: CELF's first pass is one ``ic_gains`` call over
+``run_many`` is one compiled call per block; ctypes releases the GIL for
+it. The call starts one POSIX thread per CPU in the process's affinity
+mask (``os.sched_getaffinity``) after the first, never more threads than
+there are trials, and runs on the calling thread too. Each thread
+allocates its own scratch in C and claims trials one at a time from a
+counter local to the call until none is left, so a thread that draws slow
+trials takes fewer of them; there are no fixed slices. Trials are
+independent and their coins counter-based, so which thread runs a trial
+changes no count. The call joins its threads before it returns, so no
+thread outlives it and a process forked afterwards is safe. ``taskset``
+or a cpuset lowers the thread count; there is no option for it. ``run``
+and the interpreted loop stay on the calling thread, and so does
+``gains`` under IC: CELF's first pass is one ``ic_gains`` call over
 per-trial live-edge snapshots, and each lazy re-evaluation one
 ``ic_gains`` call of one candidate, a few microseconds of C, far less
 than starting threads.
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import hashlib
 import os
 import shlex
@@ -47,7 +48,6 @@ import sysconfig
 import tempfile
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -115,11 +115,11 @@ def _load_kernel() -> ctypes.CDLL | None:
         return None
     p, i64 = ctypes.c_void_p, ctypes.c_int64
     graph, trials = [p, p, p], [p, i64, ctypes.c_uint64]
-    lib.run_many.argtypes = graph + [p, i64] + trials + [p, p, p, p, i64, p, p, p, p]
+    lib.run_many.argtypes = graph + [p, i64] + trials + [i64, i64, p, p, p, i64]
     # CSREngine binds ic_gains's arguments up to n once per base; then come
     # the live-edge scratch, the candidates and their totals.
     lib.ic_gains.argtypes = graph + trials + [p, i64, i64, p, p, i64] + [p, p] + [p, i64, p]
-    lib.run_many.restype = lib.ic_gains.restype = None
+    lib.run_many.restype, lib.ic_gains.restype = ctypes.c_int64, None
     return lib
 
 
@@ -173,63 +173,50 @@ class CSREngine(Engine):
         if _LIB is None:
             return self._interpreted.run(seeds, trial_seed)
         seeds = validate_seeds(self.csr.n, seeds)
-        act = self._kernel(seeds, trial_keys([trial_seed]), np.empty(1, np.int64))
+        act = np.full(self.csr.n, -1, np.int32)
+        self._kernel(seeds, trial_keys([trial_seed]), np.empty(1, np.int64), act=act)
         return DiffusionResult(act)
 
     def run_many(self, seeds, trial_seeds) -> np.ndarray:
         """Activated-node counts for many trials, one per ``trial_seeds``.
 
-        ``_threads`` compiled calls run the block, one per thread, started
-        and joined within the call. Each call has its own scratch and
-        claims trials from one shared counter, writing each claimed
-        trial's count, until the block is done. Coins are the per-trial
-        counter streams, so every trial's count is bit-identical to
-        ``run(seeds, trial_seeds[k]).num_active`` whichever call runs it
-        (asserted in tests).
+        One compiled call runs the block on ``_threads`` threads, the
+        calling thread among them, started and joined within the call.
+        Each thread has its own scratch and claims trials from one counter,
+        writing each claimed trial's count, until the block is done. Coins
+        are the per-trial counter streams, so every trial's count is
+        bit-identical to ``run(seeds, trial_seeds[k]).num_active``
+        whichever thread runs it (asserted in tests).
         """
         if _LIB is None:
             return self._interpreted.run_many(seeds, trial_seeds)
         seeds = validate_seeds(self.csr.n, seeds)
         keys = trial_keys(trial_seeds)
         counts = np.empty(keys.size, np.int64)
-        if keys.size == 0:
-            return counts
-        claimed = np.zeros(1, np.int64)  # the next trial index to claim
-        kernel = functools.partial(self._kernel, seeds, keys, counts, claimed)
-        others = _threads(keys.size) - 1
-        with ThreadPoolExecutor(max_workers=others or 1) as pool:
-            calls = [pool.submit(kernel) for _ in range(others)]
-            kernel()
-            for done in calls:
-                done.result()
+        if keys.size:
+            self._kernel(seeds, keys, counts, threads=_threads(keys.size))
         return counts
 
-    def _kernel(self, seeds, keys, counts, claimed=None, reach=None) -> np.ndarray:
+    def _kernel(self, seeds, keys, counts, *, threads=1, act=None, reach=None) -> None:
         """One compiled ``run_many`` call over the block ``keys``, filling ``counts``.
 
-        With ``claimed`` (a one-element int64 counter shared by concurrent
-        calls), the call runs the trials it claims from it; without, it
-        runs every trial in order. Under IC, a ``(len(keys), n)`` uint8
-        ``reach`` of zeros gets row k marked with trial k's activated
-        nodes; under LT the call gets LT's scratch. The scratch arrays are
-        the call's own, so calls may share ``counts`` and ``claimed``.
-        Returns the ``(n,)`` int32 activation times of the last trial the
-        call ran.
+        The call runs the block on ``threads`` threads, the calling thread
+        among them; each allocates its own scratch. Optional outputs:
+        ``act``, an ``(n,)`` int32 array of -1, is the calling thread's
+        activation times, so with one thread it ends holding the last
+        trial's; under IC, a ``(len(keys), n)`` uint8 ``reach`` of zeros
+        gets row k marked with trial k's activated nodes. Raises
+        ``MemoryError`` if no thread could allocate its scratch.
         """
-        n = self.csr.n
-        act = np.full(n, -1, np.int32)
-        queue = np.empty(n, np.int64)
-        stream, lt = STREAM_IC_COIN, [None] * 3
-        if self.model == "lt":  # accumulated weight, touched nodes, this round's candidates
-            scratch = np.zeros(n, np.float64), np.empty(n, np.int64), np.empty(n, np.int64)
-            stream, lt = STREAM_LT_THRESHOLD, [a.ctypes.data for a in scratch]
-        _LIB.run_many(
-            *self._graph, seeds.ctypes.data, seeds.size, keys.ctypes.data, keys.size, stream,
-            act.ctypes.data, queue.ctypes.data, counts.ctypes.data,
-            None if reach is None else reach.ctypes.data, n, *lt,
-            None if claimed is None else claimed.ctypes.data,
+        lt = self.model == "lt"
+        done = _LIB.run_many(
+            *self._graph, seeds.ctypes.data, seeds.size, keys.ctypes.data, keys.size,
+            STREAM_LT_THRESHOLD if lt else STREAM_IC_COIN, lt, threads,
+            None if act is None else act.ctypes.data, counts.ctypes.data,
+            None if reach is None else reach.ctypes.data, self.csr.n,
         )
-        return act
+        if done < 0:
+            raise MemoryError("run_many could not allocate its scratch")
 
     def gains(self, base, candidates, trial_seeds) -> np.ndarray:
         """``spread(base + {c}, trial_seeds)`` for each candidate ``c``, in order.

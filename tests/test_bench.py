@@ -31,6 +31,7 @@ from repro.bench.table2 import (
     run_table2,
     table2_graph,
 )
+from repro.diffusion import CSREngine
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import edge_weights
@@ -65,11 +66,28 @@ class TestSimpleBenchmark:
         assert all(r.seconds > 0 and r.its_per_sec > 0 for r in results)
         spreads = {r.mean_spread for r in results}
         assert len(spreads) == 1
+        # A csr cell this small takes the full three runs inside the budget.
+        assert results[0].runs == 3
+        assert all(1 <= r.runs <= 3 for r in results)
+
+    def test_every_run_is_checked(self, small_csr, monkeypatch):
+        """A spread that changes between one engine's runs fails the check."""
+        w = edge_weights(small_csr, "WC")
+        real, calls = CSREngine.spread, []
+
+        def drifting(self, seeds, trial_seeds):
+            calls.append(1)
+            return real(self, seeds, trial_seeds) + (len(calls) == 2)
+
+        monkeypatch.setattr(CSREngine, "spread", drifting)
+        with pytest.raises(AssertionError, match="disagree"):
+            simple_benchmark(small_csr, w, n_seed_nodes=5, trials=10, engines=("csr",))
 
     def test_includes_ndlib(self, small_csr):
         w = edge_weights(small_csr, "TV")
         results = simple_benchmark(small_csr, w, n_seed_nodes=5, trials=5)
         assert [r.name for r in results] == ["csr", "pure_python", "ndlib_like"]
+        assert all(1 <= r.runs <= 3 for r in results)
 
     def test_spark_engine_column(self, spark, small_csr):
         w = edge_weights(small_csr, "WC")

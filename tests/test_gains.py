@@ -82,8 +82,8 @@ def test_celf_first_pass_is_one_compiled_call(monkeypatch):
     assert lazy > 0
     assert _gains_calls(lib) == [("ic_gains", True, csr.n)] + [("ic_gains", False, 1)] * lazy
     # R(S) is marked once per selection round after the first, not per evaluation,
-    # by run_many with a reach matrix (args[11]).
-    marks = [(call.args[4], bool(call.args[11])) for call in lib.calls if call.name == "run_many"]
+    # by run_many with a reach matrix (args[12]).
+    marks = [(call.args[4], bool(call.args[12])) for call in lib.calls if call.name == "run_many"]
     assert marks == [(1, True), (2, True), (3, True)]
 
 

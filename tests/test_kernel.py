@@ -262,6 +262,54 @@ def test_forked_child_finishes_run_many(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+_THREADS_CHILD = """
+import json, os, threading, time
+from repro.diffusion import CSREngine
+from repro.im.spread import trial_seed_block
+from tests.test_kernel import SEEDS, _weighted_graph
+
+def threads():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("Threads:"))
+
+def settled(want):
+    # A joined thread leaves the count only when the kernel reaps it, a
+    # moment after the join returns; a thread kept alive never leaves it.
+    deadline = time.monotonic() + 5
+    while threads() != want and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threads()
+
+engines = [CSREngine(*_weighted_graph(m), model=m) for m in ("ic", "lt")]
+block = trial_seed_block(23, 3 * len(os.sched_getaffinity(0)) + 1)
+before = threads()
+readings = []
+for e in engines:
+    e.run_many(SEEDS, block)
+    readings.append(settled(before))
+callers = [threading.Thread(target=lambda: [e.run_many(SEEDS, block) for e in engines])
+           for _ in range(4)]
+for t in callers:
+    t.start()
+for t in callers:
+    t.join()
+readings.append(settled(before))
+print(json.dumps([before, readings]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc thread count")
+def test_no_thread_outlives_run_many(tmp_path):
+    """The process's thread count after IC and LT blocks of 3 * cpus + 1 trials,
+    and after four concurrent callers, equals the count before them."""
+    done = subprocess.run(
+        [sys.executable, "-c", _THREADS_CHILD], env=_child_env(tmp_path / "cache"),
+        cwd=tmp_path, capture_output=True, text=True, timeout=300, check=True,
+    )
+    before, readings = json.loads(done.stdout)
+    assert readings == [before] * 3
+
+
 _ONE_CPU_CHILD = """
 import json, os, threading
 from repro.diffusion import CSREngine, csr_engine

@@ -171,23 +171,18 @@ def _engine(model):
     return CSREngine(csr, normalize_for_lt(csr, w) if model == "lt" else w, model=model)
 
 
-def _assert_claimed(monkeypatch, engine, seeds, block):
-    """min(T, cpus) kernel calls, one on the caller's thread, each over the
-    whole block with the same counts and the same claim counter; every
-    count is that trial's own run."""
+def _assert_claimed(monkeypatch, engine, seeds, block, threads=None):
+    """One kernel call, on the caller's thread, over the whole block with
+    min(T, cpus) threads (or ``threads``); every count is that trial's own run."""
     want = [engine.run(seeds, t).num_active for t in block]
     lib = CountingLib(csr_engine._LIB)
     monkeypatch.setattr(csr_engine, "_LIB", lib)
     counts, calls = engine.run_many(seeds, block), lib.calls
-    assert {call.name for call in calls} == {"run_many"}
-    assert len(calls) == min(len(block), CPUS)
-    assert [call.thread for call in calls].count(threading.get_ident()) == 1
-    trials_at, counter_at = calls[0].args[5], calls[0].args[16]
-    assert counter_at is not None
-    for call in calls:
-        assert call.args[6] == len(block)  # the whole block
-        assert (call.args[5], call.args[10], call.args[16]) == (
-            trials_at, counts.ctypes.data, counter_at)
+    assert [(call.name, call.thread) for call in calls] == [("run_many", threading.get_ident())]
+    (call,) = calls
+    assert call.args[6] == len(block)  # the whole block
+    assert call.args[9] == (min(len(block), CPUS) if threads is None else threads)
+    assert call.args[11] == counts.ctypes.data
     assert counts.tolist() == want
 
 
@@ -195,8 +190,18 @@ def _assert_claimed(monkeypatch, engine, seeds, block):
 @pytest.mark.parametrize("model", ["ic", "lt"])
 @pytest.mark.parametrize("length", sorted({1, CPUS - 1, CPUS, CPUS + 1, 3 * CPUS + 1} - {0}))
 def test_block_runs_as_one_call_per_cpu(monkeypatch, model, length):
-    """min(T, cpus) kernel calls claim the block's trials; the caller's thread runs one."""
+    """One kernel call runs the block on min(T, cpus) threads, the caller's among them."""
     _assert_claimed(monkeypatch, _engine(model), [0, 3], trial_seed_block(12, length).tolist())
+
+
+@pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no os.sched_getaffinity")
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_one_cpu_affinity_asks_for_one_thread(monkeypatch, model):
+    """The affinity mask, read on every call, sets the thread count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    block = trial_seed_block(12, 3 * CPUS + 1).tolist()
+    _assert_claimed(monkeypatch, _engine(model), [0, 3], block, threads=1)
 
 
 @pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
@@ -213,6 +218,19 @@ def test_skewed_block_runs_as_one_call_per_cpu(monkeypatch, model):
     flood = next(t for t in trials if sizes[t] == n)
     block = [flood] + [t for t in trials if sizes[t] == 1][: 3 * CPUS]
     _assert_claimed(monkeypatch, engine, [0], block)
+
+
+@pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
+def test_block_no_thread_could_run_raises_memory_error(monkeypatch):
+    """The kernel returns -1 when no thread could allocate its scratch."""
+    class NoScratch:
+        def run_many(self, *args):
+            return -1
+
+    engine = _engine("ic")
+    monkeypatch.setattr(csr_engine, "_LIB", NoScratch())
+    with pytest.raises(MemoryError):
+        engine.run_many([0, 3], trial_seed_block(12, 5))
 
 
 def test_concurrent_callers_get_serial_results():
