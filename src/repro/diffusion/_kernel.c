@@ -32,8 +32,12 @@
  * the nodes a search from c reaches outside R_k(S). Given live-edge
  * scratch, it first hashes each coin once per trial into that trial's
  * live-edge graph (its "snapshot", Kempe et al. 2003), which every
- * candidate's search then walks without hashing; without it, each search
- * hashes the coin of every edge it scans. Both give the same integer totals.
+ * candidate's search then walks without hashing (CELF's first pass, one
+ * call over every node); without it, each search hashes the coin of every
+ * edge it scans. Both give the same integer totals. The mode without
+ * scratch also runs CELF's lazy rounds, one call per chunk of stale heap
+ * entries: it stops at the first candidate that the best fresh gain so far
+ * beats, as Python's heap loop would, and returns how many it evaluated.
  *
  * Scans that read coins or weights run in two phases per chunk of at most
  * CHUNK out-edges of one node, with the chunk's edge ids in a stack buffer.
@@ -292,26 +296,47 @@ int64_t run_many(const int64_t *indptr, const int64_t *indices, const double *w,
     return b.next < n_trials ? -1 : 0;
 }
 
+/* True when heap entry (ka, ia) pops before (kb, ib): a smaller key, or an
+ * equal key and a smaller id. These are Python's tuple comparisons on
+ * finite keys, -0.0 equal to 0.0 included. */
+static inline int precedes(double ka, int64_t ia, double kb, int64_t ib) {
+    return ka < kb || (ka == kb && ia < ib);
+}
+
 /* Row k of R_k(S) is at reach + k * stride (stride 0 with one zero row for
  * S = {}), and base_total = sum over k of |R_k(S)|. Sets totals[j] = sum
- * over trials k of |R_k(S + {cands[j]})|. act arrives all -1 and is left
- * so. Trials are the outer loop. Given live_ptr (n + 1) and live_dst (as
- * many as the graph's edges), each trial's live edges between nodes
- * outside R_k(S) are built there as a CSR over n nodes, hashing each of
- * their coins once, and the searches walk them; edges into R_k(S) are
- * never live for a search, so their coins are not hashed. With live_ptr
- * NULL, the searches hash the coins of the graph's edges as they scan. */
-void ic_gains(const int64_t *indptr, const int64_t *indices, const double *w,
-              const uint64_t *trials, int64_t n_trials, uint64_t stream,
-              const uint8_t *reach, int64_t stride, int64_t base_total,
-              int32_t *act, int64_t *queue,
-              int64_t n, int64_t *live_ptr, int64_t *live_dst,
-              const int64_t *cands, int64_t n_cands, int64_t *totals) {
-    for (int64_t j = 0; j < n_cands; j++) totals[j] = base_total;
-    for (int64_t k = 0; k < n_trials; k++) {
-        const uint8_t *row = reach + k * stride;
-        uint64_t base = sm64(stream ^ sm64(trials[k]));
-        if (live_ptr) {
+ * over trials k of |R_k(S + {cands[j]})| for the candidates it evaluates,
+ * and returns their number. act arrives all -1 and is left so.
+ *
+ * Given live_ptr (n + 1) and live_dst (as many as the graph's edges),
+ * trials are the outer loop and every candidate is evaluated: each
+ * trial's live edges between nodes outside R_k(S) are built there as a
+ * CSR over n nodes, hashing each of their coins once, and the searches
+ * walk them; edges into R_k(S) are never live for a search, so their
+ * coins are not hashed.
+ *
+ * With live_ptr NULL, candidates are the outer loop and each search hashes
+ * the coins of the graph's edges as it scans; totals are integer sums, so
+ * the loop order changes none. This mode serves CELF's lazy rounds: given
+ * stale (each candidate's stale heap key, minus its last gain), it stops
+ * before candidate j when the incumbent (best_key, best_id) pops before
+ * (stale[j], cands[j]), and after evaluating j it makes j's fresh entry
+ * (-(total / n_trials - current), cands[j]) the incumbent if there is none
+ * (has_best 0) or it pops first. These are the IEEE operations of the
+ * Python rule, so both stop at the same candidate. */
+int64_t ic_gains(const int64_t *indptr, const int64_t *indices, const double *w,
+                 const uint64_t *trials, int64_t n_trials, uint64_t stream,
+                 const uint8_t *reach, int64_t stride, int64_t base_total,
+                 int32_t *act, int64_t *queue, int64_t n,
+                 const double *stale, double current, int64_t has_best, double best_key,
+                 int64_t best_id,
+                 int64_t *live_ptr, int64_t *live_dst,
+                 const int64_t *cands, int64_t n_cands, int64_t *totals) {
+    if (live_ptr) {
+        for (int64_t j = 0; j < n_cands; j++) totals[j] = base_total;
+        for (int64_t k = 0; k < n_trials; k++) {
+            const uint8_t *row = reach + k * stride;
+            uint64_t base = sm64(stream ^ sm64(trials[k]));
             int64_t live = 0;
             for (int64_t u = 0; u < n; u++) {
                 live_ptr[u] = live;
@@ -322,17 +347,40 @@ void ic_gains(const int64_t *indptr, const int64_t *indices, const double *w,
                 }
             }
             live_ptr[n] = live;
+            for (int64_t j = 0; j < n_cands; j++) {
+                int64_t c = cands[j];
+                if (row[c]) continue;
+                act[c] = 0;
+                queue[0] = c;
+                int64_t qlen = ic_search(live_ptr, live_dst, NULL, 0, 0, NULL, act, queue, 1);
+                totals[j] += qlen;
+                for (int64_t i = 0; i < qlen; i++) act[queue[i]] = -1;
+            }
         }
-        for (int64_t j = 0; j < n_cands; j++) {
-            int64_t c = cands[j];
+        return n_cands;
+    }
+    for (int64_t j = 0; j < n_cands; j++) {
+        int64_t c = cands[j], total = base_total;
+        if (stale && has_best && precedes(best_key, best_id, stale[j], c)) return j;
+        for (int64_t k = 0; k < n_trials; k++) {
+            const uint8_t *row = reach + k * stride;
             if (row[c]) continue;
             act[c] = 0;
             queue[0] = c;
-            int64_t qlen = live_ptr
-                ? ic_search(live_ptr, live_dst, NULL, 0, 0, NULL, act, queue, 1)
-                : ic_search(indptr, indices, w, base, 1, row, act, queue, 1);
-            totals[j] += qlen;
+            int64_t qlen = ic_search(indptr, indices, w, sm64(stream ^ sm64(trials[k])), 1, row,
+                                     act, queue, 1);
+            total += qlen;
             for (int64_t i = 0; i < qlen; i++) act[queue[i]] = -1;
         }
+        totals[j] = total;
+        if (stale) {
+            double key = -((double)total / (double)n_trials - current);
+            if (!has_best || precedes(key, c, best_key, best_id)) {
+                has_best = 1;
+                best_key = key;
+                best_id = c;
+            }
+        }
     }
+    return n_cands;
 }

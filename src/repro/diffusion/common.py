@@ -165,6 +165,38 @@ def validate_csr(csr) -> tuple[np.ndarray, np.ndarray]:
     return ptr, dst
 
 
+def lazy_prefix(values, candidates, stop) -> list:
+    """The values of ``candidates`` that one chunk of a CELF lazy round evaluates.
+
+    ``values`` yields each candidate's value in order and is read no
+    further than needed. Without ``stop`` every value is read. ``stop`` is
+    ``(stale, current, incumbent)``: each candidate's stale heap key (minus
+    its last gain), the current sigma-hat, and the round's best fresh heap
+    entry ``(key, id)`` so far, or ``None``. Before candidate ``c`` the
+    prefix ends if the incumbent pops before ``(stale key, c)`` in heap
+    order, that is, has a smaller key or an equal key and a smaller id;
+    after it, ``(-(value - current), c)`` becomes the incumbent if it pops
+    first. Values with a stop are returned as floats. This is the one
+    Python copy of the rule that ``ic_gains`` runs in C.
+    """
+    if stop is None:
+        return list(values)
+    stale, current, best = stop
+    if len(stale) != len(candidates):
+        raise ValueError(f"{len(stale)} stale keys for {len(candidates)} candidates")
+    values, out = iter(values), []
+    best = None if best is None else (best[0], best[1])
+    for c, key in zip(candidates, stale):
+        if best is not None and best < (key, c):
+            break
+        val = float(next(values))
+        out.append(val)
+        entry = (-(val - current), c)
+        if best is None or entry < best:
+            best = entry
+    return out
+
+
 class Engine:
     """The engine contract: ``run``, ``run_many``, ``spread`` and ``gains``.
 
@@ -175,8 +207,9 @@ class Engine:
     Each interpreted engine implements ``_run`` once, for both models,
     returning the trial's activation times as a list. ``spread`` is the
     mean of ``run_many`` and ``gains`` loops ``spread`` over the
-    candidates, so a compiled engine overrides ``run`` and ``run_many``
-    and, where it can batch candidates, ``gains``.
+    candidates, stopping where ``lazy_prefix`` does, so a compiled engine
+    overrides ``run`` and ``run_many`` and, where it can batch candidates,
+    ``gains``.
     """
 
     def __init__(self, csr, weights, *, model: str = "ic") -> None:
@@ -207,16 +240,14 @@ class Engine:
         """Mean activated-node count over ``trial_seeds``."""
         return float(self.run_many(seeds, trial_seeds).mean())
 
-    def gains(self, base, candidates, trial_seeds) -> np.ndarray:
+    def gains(self, base, candidates, trial_seeds, *, stop=None) -> np.ndarray:
         """``spread(base + {c}, trial_seeds)`` for each candidate ``c``, in order.
 
-        ``base`` may be empty; a candidate may lie in it.
+        ``base`` may be empty; a candidate may lie in it. With ``stop``, a
+        CELF lazy round's stop inputs, only the prefix of the candidates
+        that ``lazy_prefix`` evaluates is spread and returned.
         """
         base = validate_nodes(self.csr.n, base, "seed").tolist()
-        return np.array(
-            [
-                self.spread([*base, c], trial_seeds)
-                for c in validate_nodes(self.csr.n, candidates, "candidate").tolist()
-            ],
-            np.float64,
-        )
+        cands = validate_nodes(self.csr.n, candidates, "candidate").tolist()
+        spreads = (self.spread([*base, c], trial_seeds) for c in cands)
+        return np.array(lazy_prefix(spreads, cands, stop), np.float64)

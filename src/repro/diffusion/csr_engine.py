@@ -32,9 +32,10 @@ thread outlives it and a process forked afterwards is safe. ``taskset``
 or a cpuset lowers the thread count; there is no option for it. ``run``
 and the interpreted loop stay on the calling thread, and so does
 ``gains`` under IC: CELF's first pass is one ``ic_gains`` call over
-per-trial live-edge snapshots, and each lazy re-evaluation one
-``ic_gains`` call of one candidate, a few microseconds of C, far less
-than starting threads.
+per-trial live-edge snapshots, and each chunk of a lazy round one
+``ic_gains`` call that re-evaluates stale candidates in heap order and
+stops, in C, where the best fresh gain wins; a chunk costs tens of
+microseconds of C, far less than starting threads.
 """
 from __future__ import annotations
 
@@ -113,13 +114,15 @@ def _load_kernel() -> ctypes.CDLL | None:
             stacklevel=2,
         )
         return None
-    p, i64 = ctypes.c_void_p, ctypes.c_int64
+    p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     graph, trials = [p, p, p], [p, i64, ctypes.c_uint64]
     lib.run_many.argtypes = graph + [p, i64] + trials + [i64, i64, p, p, p, i64]
     # CSREngine binds ic_gains's arguments up to n once per base; then come
-    # the live-edge scratch, the candidates and their totals.
-    lib.ic_gains.argtypes = graph + trials + [p, i64, i64, p, p, i64] + [p, p] + [p, i64, p]
-    lib.run_many.restype, lib.ic_gains.restype = ctypes.c_int64, None
+    # the stop inputs, the live-edge scratch, the candidates and their totals.
+    lib.ic_gains.argtypes = (
+        graph + trials + [p, i64, i64, p, p, i64] + [p, f64, i64, f64, i64] + [p, p] + [p, i64, p]
+    )
+    lib.run_many.restype = lib.ic_gains.restype = ctypes.c_int64
     return lib
 
 
@@ -218,7 +221,7 @@ class CSREngine(Engine):
         if done < 0:
             raise MemoryError("run_many could not allocate its scratch")
 
-    def gains(self, base, candidates, trial_seeds) -> np.ndarray:
+    def gains(self, base, candidates, trial_seeds, *, stop=None) -> np.ndarray:
         """``spread(base + {c}, trial_seeds)`` for each candidate ``c``, in order.
 
         Under IC with the compiled kernel, all candidates and trials run in
@@ -234,8 +237,14 @@ class CSREngine(Engine):
         trial, once each, and its searches walk live edges only; without
         one, each search hashes the coin of every edge it scans, so the
         searches scan at least the candidates' out-edges per trial. CELF's
-        first pass (every node a candidate) therefore takes the snapshots,
-        and a lazy re-evaluation (one candidate) does not.
+        first pass (every node a candidate) therefore takes the snapshots.
+
+        ``stop``, a CELF lazy round's stop inputs (see ``lazy_prefix``),
+        always takes the mode without snapshots: the call then stops at the
+        candidate where the Python rule would, computing the same keys with
+        the same IEEE operations, and only the evaluated prefix's values
+        are returned. A lazy round is one such call per chunk of its stale
+        heap entries.
 
         Both modes count the same integers as ``run_many``, so the result
         equals ``spread`` bit for bit (while each candidate's total over
@@ -244,21 +253,27 @@ class CSREngine(Engine):
         incremental LT closure would add incoming weights in another order.
         """
         if self.model != "ic" or _LIB is None:
-            return super().gains(base, candidates, trial_seeds)
+            return super().gains(base, candidates, trial_seeds, stop=stop)
         n, m = self.csr.n, self.csr.m
         cands = validate_nodes(n, candidates, "candidate")
         base = checked_nodes(n, base, "seed")
         keys = trial_keys(trial_seeds)
-        snapshot = cands.size * self._max_degree >= m and self._degree[cands].sum() >= m
+        snapshot = (
+            stop is None and cands.size * self._max_degree >= m and self._degree[cands].sum() >= m
+        )
         # NumPy divides by a float sooner than by an int, to the same value.
-        return self._totals(base, cands, keys, snapshot) / float(keys.size)
+        return self._totals(base, cands, keys, snapshot, stop) / float(keys.size)
 
-    def _totals(self, base, cands: np.ndarray, keys: np.ndarray, snapshot: bool) -> np.ndarray:
-        """Sum over the trials ``keys`` of |R_k(base + {c})| for each of ``cands``.
+    def _totals(
+        self, base, cands: np.ndarray, keys: np.ndarray, snapshot: bool, stop=None
+    ) -> np.ndarray:
+        """Sum over the trials ``keys`` of |R_k(base + {c})| for each evaluated ``c``.
 
         ``base`` and ``cands`` hold checked ids. The call is one ``ic_gains``,
         given live-edge scratch only if ``snapshot``; both modes give the
-        same int64 totals.
+        same int64 totals. Without ``snapshot``, ``stop`` (as in
+        ``lazy_prefix``) ends the call early, and the totals cover only the
+        candidates it evaluated.
         """
         totals = np.empty(cands.size, np.int64)
         # ctypes arrays over the data: cheaper per call than ndarray.ctypes.
@@ -266,14 +281,23 @@ class CSREngine(Engine):
             (ctypes.c_int64 * cands.size).from_buffer_copy(cands), cands.size,
             (ctypes.c_int64 * totals.size).from_buffer(totals),
         )
+        if stop is None:
+            stops = (None, 0.0, 0, 0.0, 0)
+        else:
+            stale, current, best = stop
+            stale = np.ascontiguousarray(stale, np.float64)
+            if stale.shape != cands.shape:
+                raise ValueError(f"{stale.size} stale keys for {cands.size} candidates")
+            best = (0, 0.0, 0) if best is None else (1, best[0], best[1])
+            stops = ((ctypes.c_double * stale.size).from_buffer_copy(stale), current, *best)
         with self._gains_lock:
             bound = self._reach(base, keys)
             if snapshot:  # a live-edge CSR: n + 1 pointers, m targets
                 live = np.empty(self.csr.n + 1, np.int64), np.empty(self.csr.m, np.int64)
-                _LIB.ic_gains(*bound, *map(_address, live), *args)
+                done = _LIB.ic_gains(*bound, *stops, *map(_address, live), *args)
             else:
-                _LIB.ic_gains(*bound, None, None, *args)
-        return totals
+                done = _LIB.ic_gains(*bound, *stops, None, None, *args)
+        return totals[:done]
 
     def _reach(self, base, keys: np.ndarray) -> tuple:
         """``ic_gains``'s leading arguments for the checked ``base`` over ``keys``.

@@ -27,7 +27,13 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import DoubleType, IntegerType, LongType, StructField, StructType
 
 from repro.diffusion.common import (
-    trial_keys, validate_csr, validate_model, validate_nodes, validate_seeds, validate_weights,
+    lazy_prefix,
+    trial_keys,
+    validate_csr,
+    validate_model,
+    validate_nodes,
+    validate_seeds,
+    validate_weights,
 )
 from repro.diffusion.csr_engine import CSREngine
 from repro.graphs.csr import CSRGraph
@@ -182,16 +188,19 @@ class SparkTrialEngine:
         """Mean number of activated nodes across trials."""
         return float(self.run_many(seeds, trial_seeds)["num_active"].mean())
 
-    def gains(self, base, candidates, trial_seeds) -> np.ndarray:
+    def gains(self, base, candidates, trial_seeds, *, stop=None) -> np.ndarray:
         """``spread(base + {c}, trial_seeds)`` for each candidate ``c``, in order.
 
         One fan-out over the distinct candidates, so one job whatever their
-        number; the values are ``CSREngine.gains``'s.
+        number; the values are ``CSREngine.gains``'s. With ``stop`` the job
+        still evaluates every candidate, and only the prefix that
+        ``lazy_prefix`` keeps is returned.
         """
         cands, body = _gains_fanout(self.csr.n, base, candidates, trial_seeds)
         distinct, where = np.unique(cands, return_inverse=True)
         pdf = self._map(distinct, body, GAINS_SCHEMA).toPandas()
-        return pdf.sort_values("candidate")["sigma_hat"].to_numpy()[where]
+        values = pdf.sort_values("candidate")["sigma_hat"].to_numpy()[where]
+        return np.array(lazy_prefix(values, cands.tolist(), stop), np.float64)
 
 
 def run_trials_df(

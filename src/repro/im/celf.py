@@ -12,12 +12,22 @@ The first pass still evaluates every candidate once; callers can supply
 those values precomputed (``initial_gains``), which is how Table 2's
 Spark backend parallelizes them with ``SparkTrialEngine.gains``.
 
-A ``sigma`` with a ``gains(base, candidates)`` method (``make_sigma``'s
-``Sigma``) evaluates many candidates per call: the first pass is one
-``gains([], candidates)`` call and each lazy re-evaluation one
-``gains(chosen, [v])`` call, which the compiled IC engine answers from the
-current seed set's cached reach. Any other callable is evaluated one seed
-set at a time. Both give the same values, picks and ``n_evals``.
+Each selection round after the first re-evaluates stale heap entries in
+heap order until the best fresh gain beats the next stale one. The entries
+are popped in chunks of 8, 16, 32 and so on, each chunk one
+``gains(chosen, chunk, stop=...)`` call that stops where the one-at-a-time
+heap loop would (see ``repro.diffusion.common.lazy_prefix``) and returns the
+values it evaluated. The fresh entries stay out of the heap until the round
+picks, and the chunk's unevaluated entries go back unchanged, so the seeds,
+the values and ``n_evals`` are those of the one-at-a-time loop.
+
+A ``sigma`` with a ``gains(base, candidates, *, stop=None)`` method
+(``make_sigma``'s ``Sigma``) evaluates many candidates per call: the first
+pass is one ``gains([], candidates)`` call, and the compiled IC engine
+answers each lazy chunk in one call from the current seed set's cached
+reach, stopping in C. Any other callable is evaluated one seed set at a
+time, through the same rule in Python. Both give the same values, picks
+and ``n_evals``.
 """
 from __future__ import annotations
 
@@ -28,6 +38,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.diffusion.common import lazy_prefix
 from repro.im.greedy import distinct_candidates
 
 
@@ -46,12 +57,51 @@ class CELFResult:
     n_evals: int
 
 
+# Stale entries in a lazy round's first gains call; each later chunk doubles.
+_FIRST_CHUNK = 8
+
+
 def _gains_of(sigma: Callable[[Sequence[int]], float]):
-    """``gains(base, candidates) -> sigma(base + {c}) per candidate`` for ``sigma``."""
+    """``gains(base, candidates, stop=None)`` for ``sigma``: its own, else one call per set."""
     gains = getattr(sigma, "gains", None)
     if gains is not None:
         return gains
-    return lambda base, cands: [sigma([*base, c]) for c in cands]
+    return lambda base, cands, stop=None: lazy_prefix(
+        (sigma([*base, c]) for c in cands), cands, stop
+    )
+
+
+def _lazy_round(gains, heap: list, chosen: list[int], current: float):
+    """Re-evaluate ``heap``'s stale entries in heap order until the best fresh one wins.
+
+    Pops chunks of ``_FIRST_CHUNK``, then twice as many each time, and
+    makes one ``gains`` call with stop inputs per chunk; the call returns
+    the values of the entries the one-at-a-time heap loop would evaluate.
+    Returns the popped best fresh entry and the number of evaluations;
+    the other fresh entries and the unevaluated ones are back in ``heap``.
+    """
+    fresh: list[tuple[float, int]] = []
+    size = _FIRST_CHUNK
+    while heap:
+        chunk = [heapq.heappop(heap) for _ in range(min(size, len(heap)))]
+        stale, nodes = zip(*chunk)
+        got = gains(chosen, list(nodes), stop=(stale, current, min(fresh, default=None)))
+        for v, val in zip(nodes, got):
+            val = float(val)
+            if not math.isfinite(val):
+                raise ValueError(f"sigma not finite for candidate {v} after {chosen}: {val}")
+            fresh.append((-(val - current), v))
+        if len(got) < len(chunk):
+            for entry in chunk[len(got):]:
+                heapq.heappush(heap, entry)
+            break
+        size *= 2
+    # The heap loop picks the best fresh entry now: it beats every stale one left.
+    best = min(fresh)
+    for entry in fresh:
+        if entry is not best:
+            heapq.heappush(heap, entry)
+    return best, len(fresh)
 
 
 def celf(
@@ -83,10 +133,10 @@ def celf(
         raise ValueError(f"need 0 < k <= {len(cand)}")
     gains = _gains_of(sigma)
     n_evals = 0
-    # Heap entries: (-gain, node, round_valid_for). Initial gains are
-    # relative to S = {} , i.e. fresh for selection round 1. Python's heap is
-    # a min-heap, so gains are negated; the node id as the second key
-    # gives deterministic smallest-id tie-breaking.
+    # Heap entries: (-gain, node), the gain over the seed set of the round
+    # that last evaluated it. Python's heap is a min-heap, so gains are
+    # negated; the node id as the second key gives deterministic
+    # smallest-id tie-breaking.
     if initial_gains is not None:
         missing = [v for v in cand if v not in initial_gains]
         if missing:
@@ -100,26 +150,19 @@ def celf(
     if bad.any():
         bad = np.compress(bad, cand)[:3].tolist()
         raise ValueError(f"sigma not finite for candidates, e.g. {bad}")
-    heap = [(-g, v, 1) for v, g in zip(cand, first.tolist(), strict=True)]
+    heap = list(zip((-first).tolist(), cand))
     heapq.heapify(heap)
 
     chosen: list[int] = []
     values: list[float] = []
     current = 0.0
-    for round_no in range(1, k + 1):
-        while True:
-            neg_gain, v, evaluated_at = heapq.heappop(heap)
-            if evaluated_at == round_no:
-                # Gain is fresh for the current S — by submodularity no
-                # stale entry below it in the heap can beat it.
-                chosen.append(v)
-                current += -neg_gain
-                values.append(current)
-                break
-            val = float(gains(chosen, [v])[0])
-            if not math.isfinite(val):
-                raise ValueError(f"sigma not finite for candidate {v} after {chosen}: {val}")
-            fresh = val - current
-            n_evals += 1
-            heapq.heappush(heap, (-fresh, v, round_no))
+    for _ in range(k):
+        if chosen:
+            (neg_gain, v), evaluated = _lazy_round(gains, heap, chosen, current)
+            n_evals += evaluated
+        else:  # the first-pass gains are fresh for S = {}
+            neg_gain, v = heapq.heappop(heap)
+        chosen.append(v)
+        current += -neg_gain
+        values.append(current)
     return CELFResult(seeds=chosen, sigma_values=values, n_evals=n_evals)

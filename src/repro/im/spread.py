@@ -59,7 +59,8 @@ class Sigma:
 
     Calling it gives ``engine.spread(S, block)``; :meth:`gains` gives
     sigma-hat(base + {c}) for many candidates in one ``engine.gains``
-    call, which ``celf`` uses for its first pass and lazy re-evaluations.
+    call, which ``celf`` uses for its first pass and, with ``stop``, for
+    each chunk of a lazy round.
     The block is stored as ``trial_keys``, so non-integer trial seeds
     raise ``ValueError`` here and seeds of 2**63 and above are kept. An
     empty block raises ``ValueError`` too: its mean is NaN, which no
@@ -75,8 +76,8 @@ class Sigma:
     def __call__(self, seed_set: Sequence[int]) -> float:
         return self.engine.spread(seed_set, self.block)
 
-    def gains(self, base: Sequence[int], candidates: Sequence[int]) -> np.ndarray:
-        return self.engine.gains(base, candidates, self.block)
+    def gains(self, base: Sequence[int], candidates: Sequence[int], *, stop=None) -> np.ndarray:
+        return self.engine.gains(base, candidates, self.block, stop=stop)
 
 
 def make_sigma(engine, trial_seeds) -> Sigma:

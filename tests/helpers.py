@@ -93,10 +93,11 @@ class Call(NamedTuple):
     name: str
     args: tuple
     thread: int  # threading.get_ident() of the caller
+    result: object  # what the kernel function returned
 
 
 class CountingLib:
-    """Stand-in for ``csr_engine._LIB`` that records every kernel call.
+    """Stand-in for ``csr_engine._LIB`` that records every kernel call that returns.
 
     Install it with ``monkeypatch.setattr(csr_engine, "_LIB", CountingLib(...))``;
     list appends are atomic, so calls from several threads are all kept.
@@ -110,7 +111,8 @@ class CountingLib:
         fn = getattr(self.lib, name)
 
         def counted(*args):
-            self.calls.append(Call(name, args, threading.get_ident()))
-            return fn(*args)
+            result = fn(*args)
+            self.calls.append(Call(name, args, threading.get_ident(), result))
+            return result
 
         return counted

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.diffusion import CSREngine, csr_engine
-from repro.diffusion.common import checked_nodes, trial_keys, validate_nodes
+from repro.diffusion.common import Engine, checked_nodes, trial_keys, validate_nodes
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import edge_weights
 from repro.im import celf, make_sigma, trial_seed_block
 
-from tests.helpers import CountingLib, from_edges, line, small_graphs, star
+from tests.helpers import CountingLib, from_edges, hub, line, small_graphs, star
 
 @settings(max_examples=150, deadline=None)
 @given(
@@ -66,7 +66,12 @@ def _gains_calls(lib) -> list[tuple[str, bool, int]]:
 
 @pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
 def test_celf_first_pass_is_one_compiled_call(monkeypatch):
-    """n candidates cost one snapshot call; each lazy re-evaluation one call without."""
+    """n candidates cost one snapshot call; each lazy round stopped calls without.
+
+    A round's calls take chunks of 8, 16, 32 ... stale entries; every call
+    but the last evaluates its whole chunk, only the first has no incumbent,
+    and the evaluated counts sum to the lazy evaluations.
+    """
     lib = CountingLib(csr_engine._LIB)
     monkeypatch.setattr(csr_engine, "_LIB", lib)
     csr = build_csr(erdos_renyi(120, 0.05, seed=5))
@@ -75,16 +80,93 @@ def test_celf_first_pass_is_one_compiled_call(monkeypatch):
     assert celf(sigma, range(csr.n), 1).n_evals == csr.n
     assert _gains_calls(lib) == [("ic_gains", True, csr.n)]
     assert len(lib.calls) == 1
+    assert lib.calls[0].result == csr.n
 
     lib.calls.clear()
     res = celf(sigma, range(csr.n), 4)
-    lazy = res.n_evals - csr.n
-    assert lazy > 0
-    assert _gains_calls(lib) == [("ic_gains", True, csr.n)] + [("ic_gains", False, 1)] * lazy
-    # R(S) is marked once per selection round after the first, not per evaluation,
-    # by run_many with a reach matrix (args[12]).
-    marks = [(call.args[4], bool(call.args[12])) for call in lib.calls if call.name == "run_many"]
+    assert res.n_evals > csr.n
+    first, *rest = lib.calls
+    assert _gains_calls(lib)[0] == ("ic_gains", True, csr.n) and first.result == csr.n
+    # R(S) is marked once per selection round after the first, not per call,
+    # by run_many with a reach matrix (args[12]); each round's calls follow it.
+    marks = [(call.args[4], bool(call.args[12])) for call in rest if call.name == "run_many"]
     assert marks == [(1, True), (2, True), (3, True)]
+    rounds = []
+    for call in rest:
+        if call.name == "run_many":
+            rounds.append([])
+        else:
+            rounds[-1].append(call)
+    evaluated = 0
+    for picked, calls in enumerate(rounds, 1):
+        assert calls
+        # ic_gains(*bound[:12], stale, current, has_best, best_key, best_id, live_ptr, ...)
+        assert [call.args[14] for call in calls] == [0] + [1] * (len(calls) - 1)
+        left = csr.n - picked  # stale entries in the heap
+        for i, call in enumerate(calls):
+            n_cands = call.args[-2]
+            assert call.args[12] is not None and call.args[17] is None  # stopped, no snapshot
+            assert n_cands == min(8 << i, left)
+            assert call.result == n_cands if call is not calls[-1] else call.result <= n_cands
+            left -= n_cands
+        evaluated += sum(call.result for call in calls)
+    assert evaluated == res.n_evals - csr.n > 0
+
+
+def _stopped_both_ways(engine, base, cands, trials, stop):
+    """IC ``gains`` with ``stop`` in C and through the Python rule, as lists."""
+    compiled = engine.gains(base, cands, trials, stop=stop).tolist()
+    assert compiled == Engine.gains(engine, base, cands, trials, stop=stop).tolist()
+    return compiled
+
+
+@pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
+@settings(max_examples=200, deadline=None)
+@given(
+    graph=small_graphs(),
+    data=st.data(),
+    trials=st.lists(st.integers(-(2**63), 2**64 - 1), min_size=1, max_size=6),
+)
+def test_compiled_stop_equals_python_rule(graph, data, trials):
+    """Stale keys and incumbents drawn from the true fresh keys force ties in both id orders."""
+    csr, w, _ = graph
+    e = CSREngine(csr, w)
+    node = st.integers(0, csr.n - 1)
+    base = data.draw(st.lists(node, max_size=csr.n), label="base")
+    cands = data.draw(st.lists(node, max_size=csr.n), label="candidates")  # some in base
+    current = data.draw(st.sampled_from([0.0, -0.0, 1.0, float(len(set(base)))]), label="current")
+    fresh = [-(v - current) for v in e.gains(base, cands, trials).tolist()]
+    key = st.sampled_from([*fresh, 0.0, -0.0, -1.0, -2.5, 1.0])
+    stale = data.draw(st.lists(key, min_size=len(cands), max_size=len(cands)), label="stale")
+    best = data.draw(st.none() | st.tuples(key, node), label="incumbent")
+    got = _stopped_both_ways(e, base, cands, trials, (stale, current, best))
+    assert got == e.gains(base, cands, trials).tolist()[: len(got)]
+
+
+@pytest.mark.skipif(csr_engine.KERNEL != "c", reason="compiled kernel unavailable")
+@pytest.mark.parametrize("graph", ["hub", "edgeless"])
+def test_compiled_stop_on_ties(graph):
+    """An incumbent tied with a stale key stops before a larger id only.
+
+    On the edgeless graph every gain ties and candidate 2 lies in the base.
+    """
+    csr = hub() if graph == "hub" else from_edges(5, [])
+    e = CSREngine(csr, edge_weights(csr, "WC", seed=3))
+    base, cands, trials = [7, 9, 20] if graph == "hub" else [2], [3, 0, 2, 4], [5, 6, 7]
+    current = e.spread(base, trials)
+    top = min(-(v - current) for v in e.gains(base, cands, trials).tolist())
+    tied = [top] * 4
+    # Without an incumbent the first candidate is always evaluated.
+    assert len(_stopped_both_ways(e, base, cands, trials, (tied, current, None))) >= 1
+    assert _stopped_both_ways(e, base, cands, trials, (tied, current, (top, 2))) == []
+    assert len(_stopped_both_ways(e, base, cands, trials, (tied, current, (top, 4)))) >= 1
+    # Stale keys below every fresh one: every candidate is evaluated.
+    low = [min(top, 0.0) - 1.0] * 4
+    assert len(_stopped_both_ways(e, base, cands, trials, (low, current, None))) == 4
+    with pytest.raises(ValueError, match="3 stale keys for 4 candidates"):
+        e.gains(base, cands, trials, stop=(low[:3], current, None))
+    with pytest.raises(ValueError, match="3 stale keys for 4 candidates"):
+        Engine.gains(e, base, cands, trials, stop=(low[:3], current, None))
 
 
 def _both_totals(engine, base, cands, trials):

@@ -178,14 +178,18 @@ def sanitized_counts() -> dict[str, list]:
     LT frontiers take both branches of the kernel's sort, and on ``hub()``
     seeded at the hub alone, whose first scan gathers every edge of two full
     256-edge chunks and then a partial one; and IC gains on ``hub()``, whose
-    searches skip the base's targets of the hub."""
+    searches skip the base's targets of the hub, once in full and once
+    stopped after two of three candidates."""
     block, h = trial_seed_block(22, 64), hub()
     got = {}
     for name, csr, seeds in (("er300", LT_GRAPHS["er300"], LT_SEEDS["er300"]), ("hub", h, [0])):
         w = edge_weights(csr, "WC", seed=4)
         for m in ("ic", "lt"):
             got[f"{name}/{m}"] = CSREngine(csr, w, model=m).run_many(seeds, block).tolist()
-    got["hub/gains"] = CSREngine(h, edge_weights(h, "WC")).gains([7, 9, 20], [0, 5], block).tolist()
+    e = CSREngine(h, edge_weights(h, "WC"))
+    got["hub/gains"] = e.gains([7, 9, 20], [0, 5], block).tolist()
+    stop = ([-1e9, -1e9, 1e9], 3.0, None)  # the third stale key loses to either fresh one
+    got["hub/stopped"] = e.gains([7, 9, 20], [0, 5, 3], block, stop=stop).tolist()
     return got
 
 
@@ -221,6 +225,7 @@ def test_ubsan_kernel_matches(tmp_path):
     assert len(list((cache / "repro").glob("kernel-*.so"))) == 1
     want = sanitized_counts()
     assert counts == [want] * 3
+    assert want["hub/stopped"] == want["hub/gains"]
 
 
 _FORK_CHILD = """
